@@ -4,6 +4,8 @@
 #include <cmath>
 #include <complex>
 
+#include "util/kernel_dispatch.h"
+
 namespace mocemg {
 
 double Biquad::MagnitudeAt(double w) const {
@@ -15,55 +17,82 @@ double Biquad::MagnitudeAt(double w) const {
   return std::abs(num / den);
 }
 
-BiquadCascade::BiquadCascade(std::vector<BiquadCoefficients> sections) {
-  sections_.reserve(sections.size());
-  for (const auto& c : sections) sections_.emplace_back(c);
+BiquadCascade::BiquadCascade(
+    const std::vector<BiquadCoefficients>& sections)
+    : state_(2 * sections.size(), 0.0) {
+  coeffs_.reserve(5 * sections.size());
+  for (const BiquadCoefficients& c : sections) {
+    coeffs_.insert(coeffs_.end(), {c.b0, c.b1, c.b2, c.a1, c.a2});
+  }
+}
+
+double BiquadCascade::Process(double x) {
+  ProcessLanes(&x, 1, 1, state_.data());
+  return x;
 }
 
 std::vector<double> BiquadCascade::ProcessSignal(
     const std::vector<double>& input) {
-  std::vector<double> out(input.size());
-  for (size_t i = 0; i < input.size(); ++i) out[i] = Process(input[i]);
+  std::vector<double> out = input;
+  ProcessLanes(out.data(), out.size(), 1, state_.data());
   return out;
+}
+
+void BiquadCascade::ProcessLanes(double* data, size_t frames, size_t lanes,
+                                 double* state, bool reverse) const {
+  internal::ActiveKernelOps().biquad_cascade_lanes(
+      coeffs_.data(), num_sections(), state, data, frames, lanes, reverse);
 }
 
 std::vector<double> BiquadCascade::FiltFilt(
     const std::vector<double>& input) const {
   if (input.empty()) return {};
-  // Pad with reflected edges (3 time-constants' worth, capped by length)
-  // so the filter state is warmed up before the true samples arrive.
-  const size_t pad = std::min<size_t>(input.size() - 1, 256);
-  std::vector<double> padded;
-  padded.reserve(input.size() + 2 * pad);
-  for (size_t i = pad; i > 0; --i) {
-    padded.push_back(2.0 * input.front() - input[i]);
-  }
-  padded.insert(padded.end(), input.begin(), input.end());
+  const size_t pad = std::min(input.size() - 1, kFiltFiltPad);
+  std::vector<double> padded(input.size() + 2 * pad);
+  std::copy(input.begin(), input.end(),
+            padded.begin() + static_cast<ptrdiff_t>(pad));
+  FiltFiltLanes(padded.data() + pad, input.size(), 1);
+  padded.erase(padded.begin(), padded.begin() + static_cast<ptrdiff_t>(pad));
+  padded.resize(input.size());
+  return padded;
+}
+
+void BiquadCascade::FiltFiltLanes(double* data, size_t frames,
+                                  size_t lanes) const {
+  if (frames == 0) return;
+  // Reflect the edges (2·x[0] − x[i] before the start, likewise after
+  // the end) so both passes start from a warmed-up state. The pad is a
+  // fixed 256 samples, capped by the length — not derived from the
+  // filter's time constants.
+  const size_t pad = std::min(frames - 1, kFiltFiltPad);
+  const double* first = data;
+  const double* last = data + (frames - 1) * lanes;
   for (size_t i = 1; i <= pad; ++i) {
-    padded.push_back(2.0 * input.back() - input[input.size() - 1 - i]);
+    double* before = data - i * lanes;
+    double* after = data + (frames - 1 + i) * lanes;
+    const double* inner_first = first + i * lanes;
+    const double* inner_last = last - i * lanes;
+    for (size_t l = 0; l < lanes; ++l) {
+      before[l] = 2.0 * first[l] - inner_first[l];
+      after[l] = 2.0 * last[l] - inner_last[l];
+    }
   }
-
-  BiquadCascade forward = *this;
-  forward.Reset();
-  std::vector<double> once = forward.ProcessSignal(padded);
-  std::reverse(once.begin(), once.end());
-  BiquadCascade backward = *this;
-  backward.Reset();
-  std::vector<double> twice = backward.ProcessSignal(once);
-  std::reverse(twice.begin(), twice.end());
-
-  return std::vector<double>(twice.begin() + static_cast<ptrdiff_t>(pad),
-                             twice.begin() + static_cast<ptrdiff_t>(
-                                                 pad + input.size()));
+  std::vector<double> state(2 * num_sections() * lanes, 0.0);
+  double* padded = data - pad * lanes;
+  ProcessLanes(padded, frames + 2 * pad, lanes, state.data());
+  std::fill(state.begin(), state.end(), 0.0);
+  ProcessLanes(padded, frames + 2 * pad, lanes, state.data(),
+               /*reverse=*/true);
 }
 
-void BiquadCascade::Reset() {
-  for (auto& s : sections_) s.Reset();
-}
+void BiquadCascade::Reset() { std::fill(state_.begin(), state_.end(), 0.0); }
 
 double BiquadCascade::MagnitudeAt(double w) const {
   double mag = 1.0;
-  for (const auto& s : sections_) mag *= s.MagnitudeAt(w);
+  for (size_t s = 0; s < num_sections(); ++s) {
+    const double* c = coeffs_.data() + 5 * s;
+    mag *= Biquad({c[0], c[1], c[2], c[3], c[4]}).MagnitudeAt(w);
+  }
   return mag;
 }
 

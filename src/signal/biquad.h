@@ -5,6 +5,7 @@
 #ifndef MOCEMG_SIGNAL_BIQUAD_H_
 #define MOCEMG_SIGNAL_BIQUAD_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "util/result.h"
@@ -52,35 +53,58 @@ class Biquad {
 };
 
 /// \brief A chain of biquads applied in sequence.
+///
+/// Whole-signal filtering runs through the dispatched lane kernel
+/// (KernelOps::biquad_cascade_lanes) with the delay lines in registers,
+/// over one signal or over several interleaved independent signals
+/// ("lanes") in lockstep. Every lane gets exactly the bits of running
+/// Biquad::Process section by section on that lane alone.
 class BiquadCascade {
  public:
+  /// Frames of edge padding FiltFilt adds on each side of a signal of
+  /// more than kFiltFiltPad frames (shorter signals get frames − 1).
+  static constexpr size_t kFiltFiltPad = 256;
+
   BiquadCascade() = default;
-  explicit BiquadCascade(std::vector<BiquadCoefficients> sections);
+  explicit BiquadCascade(const std::vector<BiquadCoefficients>& sections);
 
   /// \brief Processes one sample through all sections.
-  double Process(double x) {
-    for (auto& s : sections_) x = s.Process(x);
-    return x;
-  }
+  double Process(double x);
 
   /// \brief Filters a whole signal (stateful; call Reset() between
   /// independent signals).
   std::vector<double> ProcessSignal(const std::vector<double>& input);
 
+  /// \brief Filters `lanes` interleaved signals of `frames` frames in
+  /// place (frame f of lane l at data[f * lanes + l]), last frame first
+  /// when `reverse`. `state` carries every lane's delay lines in and
+  /// out: 2 · num_sections() · lanes doubles, all zero for a fresh
+  /// start (layout in KernelOps::biquad_cascade_lanes). The cascade's
+  /// own state is left alone.
+  void ProcessLanes(double* data, size_t frames, size_t lanes,
+                    double* state, bool reverse = false) const;
+
   /// \brief Zero-phase filtering: forward pass, then reverse pass, with
-  /// simple edge-replication padding to suppress startup transients.
-  /// Doubles the effective order and cancels group delay — used where the
-  /// EMG envelope must stay aligned with the mocap frames.
+  /// reflected-edge padding to suppress startup transients. Doubles the
+  /// effective order and cancels group delay — used where the EMG
+  /// envelope must stay aligned with the mocap frames.
   std::vector<double> FiltFilt(const std::vector<double>& input) const;
 
+  /// \brief FiltFilt of `lanes` interleaved signals of `frames` frames,
+  /// in place. The padding is written into the min(frames − 1,
+  /// kFiltFiltPad) frames just before `data` and just after its last
+  /// frame, which must belong to the same buffer.
+  void FiltFiltLanes(double* data, size_t frames, size_t lanes) const;
+
   void Reset();
-  size_t num_sections() const { return sections_.size(); }
+  size_t num_sections() const { return coeffs_.size() / 5; }
 
   /// \brief Cascade magnitude response at w = 2π f / fs.
   double MagnitudeAt(double w) const;
 
  private:
-  std::vector<Biquad> sections_;
+  std::vector<double> coeffs_;  // b0, b1, b2, a1, a2 per section
+  std::vector<double> state_;   // s1, s2 per section: one lane's state
 };
 
 }  // namespace mocemg

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/result.h"
+#include "util/status.h"
 
 namespace mocemg {
 
@@ -25,8 +26,17 @@ Result<std::vector<double>> Decimate(const std::vector<double>& signal,
 Result<std::vector<double>> Resample(const std::vector<double>& signal,
                                      double fs_in, double fs_out);
 
+/// \brief Resample() over `lanes` interleaved signals of `frames` frames
+/// (frame f of lane l at data[f * lanes + l]): lane l's result goes to
+/// out[l], bit-identical to Resample() on that lane alone. When fs_out <
+/// fs_in the anti-alias filter runs in place on `data`, so the buffer
+/// must hold BiquadCascade::FiltFiltLanes's edge padding around it.
+Status ResampleLanes(double* data, size_t frames, size_t lanes,
+                     double fs_in, double fs_out, std::vector<double>* out);
+
 /// \brief Length Resample() will produce for an input of `input_len`
-/// samples — used to pre-align multi-channel buffers.
+/// samples — used to pre-align multi-channel buffers. Equal rates keep
+/// every sample.
 size_t ResampledLength(size_t input_len, double fs_in, double fs_out);
 
 }  // namespace mocemg

@@ -1,6 +1,6 @@
 /// \file kernel_dispatch.h
 /// \brief Runtime selection of SIMD backends for the distance / coarse
-/// quantized kernel family.
+/// quantized kernel family and the EMG conditioning filter kernel.
 ///
 /// The library ships several implementations of the hot kernels —
 /// portable scalar (the bit-exactness reference, see
@@ -23,11 +23,14 @@
 /// remainder handling in the same lanes), the float32 mirror kernels
 /// implement the identical 4-lane order at fp32 precision, and the
 /// integer coarse kernels are exact by construction (int32 sums of
-/// squared byte diffs are associative). Switching backends can never
-/// change a kNN result, a pruning decision, or a clustering iterate —
-/// only the wall-clock. The contract is enforced by
-/// tests/util/kernel_dispatch_test.cc across dims 1–67 for every
-/// backend the binary carries.
+/// squared byte diffs are associative), and the biquad lane kernel runs
+/// each lane's recurrence with the scalar loop's own operations.
+/// Switching backends can never change a kNN result, a pruning
+/// decision, a clustering iterate or a conditioned EMG sample — only
+/// the wall-clock. The contract is enforced by
+/// tests/util/kernel_dispatch_test.cc across dims 1–67 (lanes 1–9 and
+/// frames 0–300 for the biquad kernel) for every backend the binary
+/// carries.
 ///
 /// **Override.** `MOCEMG_KERNEL={auto,scalar,avx2,avx512,neon}` (env,
 /// read once at first dispatch) or SetKernelBackend() (CLI / tests)
@@ -76,6 +79,20 @@ enum class KernelBackend : int {
 /// result. `l2_gather` evaluates `squared_l2_pair` at a gathered index
 /// list (the fp32 tier's f64 refine and the f64 dot-form re-check use
 /// it to batch their unseparable rows); same per-pair contract.
+///
+/// `biquad_cascade_lanes` runs a Direct-Form-II-transposed biquad
+/// cascade in place over `lanes` interleaved independent signals: frame
+/// f of lane l is `data[f * lanes + l]`, and `reverse` runs the frames
+/// last to first. `coeffs` holds five doubles per section (b0, b1, b2,
+/// a1, a2). `state` holds the delay lines, 2 · sections · lanes doubles:
+/// section s keeps s1 of lane l at `state[2s * lanes + l]` and s2 at
+/// `state[(2s + 1) * lanes + l]`. It is read on entry and written back on
+/// exit. Per lane, frame and section every backend performs exactly
+/// Biquad::Process's `y = b0·x + s1; s1 = b1·x − a1·y + s2;
+/// s2 = b2·x − a2·y` as separate multiplies and adds in that order
+/// (never FMA), so lanes never interact and each lane's bits are those
+/// of the one-lane scalar loop (NaN payloads aside: which NaN operand
+/// an add passes on is not part of the contract).
 struct KernelOps {
   const char* name;
   double (*squared_l2_pair)(const double* x, const double* y, size_t d);
@@ -120,6 +137,9 @@ struct KernelOps {
   void (*ssd4_many_to_many)(const uint8_t* qpacked, size_t num_queries,
                             const uint8_t* packed, size_t rows, size_t d,
                             uint32_t* out, size_t out_stride);
+  void (*biquad_cascade_lanes)(const double* coeffs, size_t sections,
+                               double* state, double* data, size_t frames,
+                               size_t lanes, bool reverse);
 };
 
 /// \brief Stable lowercase name ("auto", "scalar", "avx2", ...).

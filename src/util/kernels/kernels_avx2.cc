@@ -27,6 +27,7 @@
 
 #include <algorithm>
 
+#include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
 
 namespace mocemg {
@@ -580,6 +581,7 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2Gather,
       Avx2Ssd8ManyToMany,
       Avx2Ssd4ManyToMany,
+      X86BiquadCascadeLanes,
   };
   return ops;
 }

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 
+#include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
 
 namespace mocemg {
@@ -820,6 +821,7 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2Gather,
       Avx512Ssd8ManyToMany,
       Avx512Ssd4ManyToMany,
+      X86BiquadCascadeLanes,
   };
   return ops;
 }

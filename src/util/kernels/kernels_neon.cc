@@ -506,6 +506,9 @@ const KernelOps& NeonKernelOps() {
       NeonL2Gather,
       NeonSsd8ManyToMany,
       NeonSsd4ManyToMany,
+      // No NEON lane kernel yet: the scalar reference (bit-identical by
+      // definition) answers for it.
+      ScalarKernelOps().biquad_cascade_lanes,
   };
   return ops;
 }

@@ -201,6 +201,74 @@ void ScalarSsd4ManyToMany(const uint8_t* qpacked, size_t num_queries,
   }
 }
 
+// DF2T biquad cascade over interleaved lanes (kernel_dispatch.h). A
+// cascade is a chain of causal filters, so running a group of sections
+// over the whole signal and then the next group gives the same bits as
+// running every section per frame; a group of up to kBiquadGroup
+// sections keeps its coefficients and delay lines in registers. Lanes
+// are independent and run one after another.
+
+constexpr size_t kBiquadGroup = 4;
+
+template <size_t NS>
+void ScalarBiquadLane(const double* coeffs, double* state, double* data,
+                      size_t frames, size_t lanes, size_t lane,
+                      bool reverse) {
+  double b0[NS], b1[NS], b2[NS], a1[NS], a2[NS], s1[NS], s2[NS];
+  for (size_t k = 0; k < NS; ++k) {
+    b0[k] = coeffs[5 * k];
+    b1[k] = coeffs[5 * k + 1];
+    b2[k] = coeffs[5 * k + 2];
+    a1[k] = coeffs[5 * k + 3];
+    a2[k] = coeffs[5 * k + 4];
+    s1[k] = state[2 * k * lanes + lane];
+    s2[k] = state[(2 * k + 1) * lanes + lane];
+  }
+  // Unsigned wrap-around makes `step` walk backwards in reverse.
+  size_t i = (reverse ? (frames - 1) * lanes : 0) + lane;
+  const size_t step = reverse ? size_t{0} - lanes : lanes;
+  for (size_t f = 0; f < frames; ++f, i += step) {
+    double x = data[i];
+    for (size_t k = 0; k < NS; ++k) {
+      const double y = b0[k] * x + s1[k];
+      s1[k] = b1[k] * x - a1[k] * y + s2[k];
+      s2[k] = b2[k] * x - a2[k] * y;
+      x = y;
+    }
+    data[i] = x;
+  }
+  for (size_t k = 0; k < NS; ++k) {
+    state[2 * k * lanes + lane] = s1[k];
+    state[(2 * k + 1) * lanes + lane] = s2[k];
+  }
+}
+
+void ScalarBiquadCascadeLanes(const double* coeffs, size_t sections,
+                              double* state, double* data, size_t frames,
+                              size_t lanes, bool reverse) {
+  for (size_t s0 = 0; s0 < sections; s0 += kBiquadGroup) {
+    const double* c = coeffs + 5 * s0;
+    double* st = state + 2 * s0 * lanes;
+    const size_t group = std::min(sections - s0, kBiquadGroup);
+    for (size_t l = 0; l < lanes; ++l) {
+      switch (group) {
+        case 1:
+          ScalarBiquadLane<1>(c, st, data, frames, lanes, l, reverse);
+          break;
+        case 2:
+          ScalarBiquadLane<2>(c, st, data, frames, lanes, l, reverse);
+          break;
+        case 3:
+          ScalarBiquadLane<3>(c, st, data, frames, lanes, l, reverse);
+          break;
+        default:
+          ScalarBiquadLane<4>(c, st, data, frames, lanes, l, reverse);
+          break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const KernelOps& ScalarKernelOps() {
@@ -222,6 +290,7 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2Gather,
       ScalarSsd8ManyToMany,
       ScalarSsd4ManyToMany,
+      ScalarBiquadCascadeLanes,
   };
   return ops;
 }

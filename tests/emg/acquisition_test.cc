@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "signal/butterworth.h"
+#include "signal/rectify.h"
+#include "signal/resample.h"
+#include "synth/dataset.h"
 #include "util/random.h"
 
 namespace mocemg {
@@ -211,6 +218,125 @@ TEST(AcquisitionTest, NotchWarmStartTamesStartupTransient) {
   // The hum is 13× the clean RMS; an untamed transient multiplies the
   // head envelope. Warm-started it stays within 25%.
   EXPECT_NEAR(notched_head, clean_head, 0.25 * clean_head);
+}
+
+// The per-channel composition of public signal-layer calls that defines
+// ConditionRecording: optional notch with its whole-second warm start,
+// band-pass, full-wave rectification, resampling, clamp.
+std::vector<double> ComposedChannel(std::vector<double> x, double fs,
+                                    const AcquisitionOptions& options) {
+  if (options.notch_hz > 0.0) {
+    auto notch = DesignNotch(options.notch_hz, options.notch_q, fs);
+    EXPECT_TRUE(notch.ok());
+    const size_t needed = static_cast<size_t>(
+        4.0 * options.notch_q * fs / (M_PI * options.notch_hz));
+    const size_t block = static_cast<size_t>(std::lround(fs));
+    size_t warm = 0;
+    if (block > 0 && x.size() >= block) {
+      warm = std::min((needed + block - 1) / block, x.size() / block) *
+             block;
+    }
+    std::vector<double> padded(x.begin(),
+                               x.begin() + static_cast<ptrdiff_t>(warm));
+    padded.insert(padded.end(), x.begin(), x.end());
+    padded = notch->ProcessSignal(padded);
+    x.assign(padded.begin() + static_cast<ptrdiff_t>(warm), padded.end());
+  }
+  if (!options.skip_bandpass) {
+    auto bp = DesignBandPass(options.filter_order, options.band_low_hz,
+                             options.band_high_hz, fs);
+    EXPECT_TRUE(bp.ok());
+    x = bp->ProcessSignal(x);
+  }
+  x = FullWaveRectify(x);
+  auto resampled = Resample(x, fs, options.output_rate_hz);
+  EXPECT_TRUE(resampled.ok());
+  x = *std::move(resampled);
+  for (double& v : x) {
+    if (v < 0.0) v = 0.0;
+  }
+  return x;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(AcquisitionTest, MatchesPerChannelCompositionBitForBit) {
+  // One synthetic right-hand capture supplies the realistic length and
+  // content; the short lengths straddle FiltFilt's 256-sample pad and
+  // the notch's one-second warm-start block.
+  DatasetOptions lab;
+  lab.limb = Limb::kRightHand;
+  lab.seed = 20070415;
+  auto trial = GenerateTrial(lab, 2, 0, 7);
+  ASSERT_TRUE(trial.ok()) << trial.status();
+  const EmgRecording& hand = trial->emg_raw;
+  const double fs = hand.sample_rate_hz();
+
+  std::vector<AcquisitionOptions> variants(7);
+  variants[1].notch_hz = 60.0;
+  variants[2].skip_bandpass = true;
+  variants[3].skip_bandpass = true;
+  variants[3].notch_hz = 50.0;
+  variants[4].output_rate_hz = fs;  // equal rates: no resampling filter
+  variants[5].output_rate_hz = 2.5 * fs;  // upsampling: interpolation only
+  variants[5].notch_hz = 50.0;
+  variants[6].output_rate_hz = fs;
+  variants[6].skip_bandpass = true;
+
+  const std::vector<Muscle> muscles = {Muscle::kBiceps, Muscle::kTriceps,
+                                       Muscle::kUpperForearm,
+                                       Muscle::kLowerForearm,
+                                       Muscle::kFrontShin};
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{257},
+                   size_t{258}, size_t{513}, size_t{1026},
+                   hand.num_samples()}) {
+    for (size_t channels = 1; channels <= 5; ++channels) {
+      Rng rng(1000 * n + channels);
+      std::vector<std::vector<double>> data(channels);
+      for (size_t c = 0; c < channels; ++c) {
+        data[c].resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          // Distinct content per channel so a lane mix-up shows: the
+          // capture's own channels (the fifth reversed and scaled) at
+          // its full length, hum + noise + offset otherwise.
+          if (n == hand.num_samples()) {
+            data[c][i] = c < hand.num_channels()
+                             ? hand.channel(c)[i]
+                             : -0.5 * hand.channel(0)[n - 1 - i];
+          } else {
+            data[c][i] =
+                4e-5 * std::sin(2.0 * M_PI * 60.0 * static_cast<double>(i) /
+                                fs) +
+                3e-5 * rng.NextGaussian() + 1e-6 * static_cast<double>(c);
+          }
+        }
+      }
+      auto raw = EmgRecording::Create(
+          std::vector<Muscle>(muscles.begin(),
+                              muscles.begin() +
+                                  static_cast<ptrdiff_t>(channels)),
+          data, fs);
+      ASSERT_TRUE(raw.ok()) << raw.status();
+      for (size_t v = 0; v < variants.size(); ++v) {
+        const std::string where = "n=" + std::to_string(n) + " channels=" +
+                                  std::to_string(channels) +
+                                  " variant=" + std::to_string(v);
+        auto out = ConditionRecording(*raw, variants[v]);
+        ASSERT_TRUE(out.ok()) << where << ": " << out.status();
+        ASSERT_EQ(out->num_channels(), channels) << where;
+        EXPECT_EQ(out->sample_rate_hz(), variants[v].output_rate_hz);
+        for (size_t c = 0; c < channels; ++c) {
+          EXPECT_TRUE(SameBits(out->channel(c),
+                               ComposedChannel(data[c], fs, variants[v])))
+              << where << " channel " << c;
+        }
+      }
+    }
+  }
 }
 
 TEST(AcquisitionTest, RejectsEmptyRecording) {

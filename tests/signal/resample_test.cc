@@ -60,6 +60,19 @@ TEST(ResampleTest, ReportedLengthMatches) {
   EXPECT_EQ(out->size(), ResampledLength(v.size(), 1000.0, 120.0));
   // ~1 second at 120 Hz.
   EXPECT_NEAR(static_cast<double>(out->size()), 120.0, 2.0);
+  // Equal rates pass every sample through, so a buffer pre-sized from
+  // ResampledLength must hold all of them. The floating-point floor of
+  // (n − 1)/fs·fs lands one short for n = 124, 246, 247, 248, … at
+  // 120 Hz.
+  for (double fs : {120.0, 1000.0}) {
+    for (size_t n = 1; n <= 600; ++n) {
+      std::vector<double> w(n, 1.0);
+      auto same = Resample(w, fs, fs);
+      ASSERT_TRUE(same.ok());
+      EXPECT_EQ(same->size(), n);
+      EXPECT_EQ(ResampledLength(n, fs, fs), n) << "fs " << fs << " n " << n;
+    }
+  }
 }
 
 TEST(ResampleTest, EmgRateToMocapRate) {

@@ -127,6 +127,7 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2_gather, nullptr);
     EXPECT_NE(ops->ssd8_many_to_many, nullptr);
     EXPECT_NE(ops->ssd4_many_to_many, nullptr);
+    EXPECT_NE(ops->biquad_cascade_lanes, nullptr);
   }
 }
 
@@ -499,6 +500,88 @@ TEST(KernelDispatchTest, Ssd4MatchesUnpackedReferenceOnEveryBackend) {
         }
         EXPECT_EQ(got[r], want)
             << ops->name << " dim " << d << " row " << r;
+      }
+    }
+  }
+}
+
+// The biquad lane kernel: every usable backend must reproduce the
+// scalar reference's bits for lane counts 1-9 (whole four-lane groups
+// and every partial group), frame counts 0-300, forward and reverse,
+// from a carried nonzero state, with NaN, ±Inf and subnormal samples
+// mixed into some cases. A special value must stay in its own lane. NaN
+// payloads are not part of the contract (kernel_dispatch.h), so two
+// NaNs count as equal. Nothing outside the data may be written.
+TEST(KernelDispatchTest, BiquadCascadeLanesMatchScalarBitExactly) {
+  const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
+  ASSERT_NE(ref, nullptr);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -3.0e-310};
+  const auto same = [](double a, double b) {
+    return BitsEqual(a, b) || (std::isnan(a) && std::isnan(b));
+  };
+  constexpr size_t kGuard = 4;
+  constexpr double kCanary = 12345.678;
+  Rng rng(43);
+  for (size_t lanes = 1; lanes <= 9; ++lanes) {
+    for (size_t frames = 0; frames <= 300; ++frames) {
+      // 1-6 sections: one or two register groups of four.
+      const size_t sections = 1 + (frames + lanes) % 6;
+      std::vector<double> coeffs(5 * sections);
+      for (size_t s = 0; s < sections; ++s) {
+        // Poles inside the unit circle keep the finite cases finite.
+        const double r = 0.3 + 0.65 * rng.NextDouble();
+        const double theta = M_PI * rng.NextDouble();
+        coeffs[5 * s] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 1] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 2] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 3] = -2.0 * r * std::cos(theta);
+        coeffs[5 * s + 4] = r * r;
+      }
+      std::vector<double> data(frames * lanes + 2 * kGuard, kCanary);
+      for (size_t i = 0; i < frames * lanes; ++i) {
+        data[kGuard + i] = rng.Gaussian(0.0, 1.0);
+      }
+      if (frames % 5 == 2) {
+        data[kGuard + rng.NextBelow(frames * lanes)] =
+            specials[rng.NextBelow(std::size(specials))];
+      }
+      std::vector<double> state(2 * sections * lanes);
+      for (double& v : state) v = rng.Gaussian(0.0, 0.1);
+      if (frames % 7 == 3) state[0] = specials[3];
+      for (const bool reverse : {false, true}) {
+        std::vector<double> want = data;
+        std::vector<double> want_state = state;
+        ref->biquad_cascade_lanes(coeffs.data(), sections, want_state.data(),
+                                  want.data() + kGuard, frames, lanes,
+                                  reverse);
+        for (KernelBackend b : UsableKernelBackends()) {
+          const KernelOps* ops = GetKernelOps(b);
+          ASSERT_NE(ops, nullptr);
+          std::vector<double> got = data;
+          std::vector<double> got_state = state;
+          ops->biquad_cascade_lanes(coeffs.data(), sections, got_state.data(),
+                                    got.data() + kGuard, frames, lanes,
+                                    reverse);
+          const std::string where =
+              std::string(ops->name) + " lanes " + std::to_string(lanes) +
+              " frames " + std::to_string(frames) + " sections " +
+              std::to_string(sections) + (reverse ? " reverse" : " forward");
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(same(got[i], want[i])) << where << " data " << i;
+          }
+          for (size_t i = 0; i < kGuard; ++i) {
+            ASSERT_EQ(got[i], kCanary) << where;
+            ASSERT_EQ(got[got.size() - 1 - i], kCanary) << where;
+          }
+          for (size_t i = 0; i < got_state.size(); ++i) {
+            ASSERT_TRUE(same(got_state[i], want_state[i]))
+                << where << " state " << i;
+          }
+        }
       }
     }
   }

@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -742,13 +743,15 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for all sixteen table entries (seven f64/int ops,
-// four fp32-mirror ops, and the five query-block many-to-many/gather
-// ops, exercised with out_stride > rows) — the same bit-exactness
-// contract the unit tests enforce, exercised on the actual production
-// binary and CPU. Also reports per-op backend coverage; a compiled backend with a
-// missing (null) table entry fails the gate. Exits 1 on any mismatch
-// or hole, so CI can gate on `mocemg_cli kernel-info`.
+// across dims 1..67 for all seventeen table entries (seven f64/int ops,
+// four fp32-mirror ops, the five query-block many-to-many/gather ops,
+// exercised with out_stride > rows, and the biquad lane kernel over
+// 1..67 frames of 1..9 lanes, forward and reverse) — the same
+// bit-exactness contract the unit tests enforce, exercised on the
+// actual production binary and CPU. Also reports per-op backend
+// coverage; a compiled backend with a missing (null) table entry fails
+// the gate. Exits 1 on any mismatch or hole, so CI can gate on
+// `mocemg_cli kernel-info`.
 // run_benchmarks.sh embeds the --json form as BENCH_pr9.json host
 // metadata.
 
@@ -788,6 +791,7 @@ std::vector<std::pair<const char*, bool>> NamedOpPresence(
       {"l2_gather", ops->l2_gather != nullptr},
       {"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
       {"ssd4_many_to_many", ops->ssd4_many_to_many != nullptr},
+      {"biquad_cascade_lanes", ops->biquad_cascade_lanes != nullptr},
   };
 }
 
@@ -997,6 +1001,41 @@ Status VerifyKernelEquivalence() {
           }
         }
       }
+      // Biquad lane kernel: d frames of 1..9 interleaved lanes through
+      // a cascade of 1..6 stable sections, both directions, from a
+      // carried state.
+      const size_t sections = 1 + d % 6;
+      std::vector<double> coeffs(5 * sections);
+      for (size_t s = 0; s < sections; ++s) {
+        const double radius = 0.3 + 0.65 * rng.NextDouble();
+        const double theta = M_PI * rng.NextDouble();
+        coeffs[5 * s] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 1] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 2] = rng.Gaussian(0.0, 1.0);
+        coeffs[5 * s + 3] = -2.0 * radius * std::cos(theta);
+        coeffs[5 * s + 4] = radius * radius;
+      }
+      for (size_t lanes = 1; lanes <= 9; ++lanes) {
+        std::vector<double> signal(d * lanes), state(2 * sections * lanes);
+        for (double& v : signal) v = rng.Gaussian(0.0, 1.0);
+        for (double& v : state) v = rng.Gaussian(0.0, 0.1);
+        for (const bool reverse : {false, true}) {
+          std::vector<double> wantb = signal, gotb = signal;
+          std::vector<double> want_state = state, got_state = state;
+          ref->biquad_cascade_lanes(coeffs.data(), sections,
+                                    want_state.data(), wantb.data(), d,
+                                    lanes, reverse);
+          ops->biquad_cascade_lanes(coeffs.data(), sections,
+                                    got_state.data(), gotb.data(), d, lanes,
+                                    reverse);
+          if (std::memcmp(wantb.data(), gotb.data(),
+                          wantb.size() * sizeof(double)) != 0 ||
+              std::memcmp(want_state.data(), got_state.data(),
+                          want_state.size() * sizeof(double)) != 0) {
+            return fail("biquad_cascade_lanes");
+          }
+        }
+      }
     }
   }
   return Status::OK();
@@ -1022,7 +1061,7 @@ Status VerifyOpCoverage(std::vector<std::string>* lines) {
     }
     std::string line = std::string(KernelBackendName(backend)) + ": ";
     if (missing.empty()) {
-      line += "all 16 ops";
+      line += "all 17 ops";
     } else {
       line += "MISSING " + missing;
       holes = Status::Unknown(
@@ -1071,7 +1110,7 @@ int RunKernelInfo(const Args& args) {
     }
     std::printf("  equivalence:  %s\n",
                 equiv.ok() ? "every usable backend bit-identical to scalar "
-                             "(dims 1..67, all 16 ops)"
+                             "(dims 1..67, all 17 ops)"
                            : equiv.ToString().c_str());
   }
   return equiv.ok() ? 0 : 1;

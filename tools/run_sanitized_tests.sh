@@ -32,10 +32,14 @@ ctest --preset "$preset" "$@"
 # QueryBlock is the §16 query-block grid: together with the fp32 loop
 # below, the blocked many-to-many scan path gets sanitizer coverage
 # under MOCEMG_KERNEL={scalar,auto} x MOCEMG_EXACT_PRECISION={f64,f32}.
+# Acquisition|Biquad|Resample|Butterworth are the EMG conditioning
+# suites (§17): they drive the biquad lane kernel one lane at a time
+# and with every channel in lockstep, on both backends.
 for kern in scalar auto; do
-  echo "== $preset: kernel/index suites under MOCEMG_KERNEL=$kern =="
+  echo "== $preset: kernel/index/conditioning suites under" \
+    "MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|Acquisition|Biquad|Resample|Butterworth' \
     --output-on-failure
 done
 
