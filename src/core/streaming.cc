@@ -84,7 +84,7 @@ Result<StreamingClassifier> StreamingClassifier::Create(
   }
   s.gram_refresh_interval_ = std::max<size_t>(f.gram_refresh_interval, 1);
   s.gram_condition_floor_ = f.gram_condition_floor;
-  s.emg_sums_.assign(num_emg_channels, EmgWindowSums{});
+  s.emg_sums_.assign(num_emg_channels, EmgWindowSums(f.emg_feature));
   s.joint_grams_.assign(num_markers, JointGramState{});
   BindModeState(&s.full_state_, model, ClassifierMode::kFull);
   if (options.tolerate_faults && model->has_fallbacks()) {

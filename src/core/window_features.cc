@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "linalg/vector_ops.h"
@@ -79,7 +80,42 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
         "hop_ms must be non-negative, got " +
         std::to_string(options.hop_ms));
   }
-  MOCEMG_RETURN_NOT_OK(mocap.Validate());
+  // The positions are read once. Each joint is its segment's first
+  // marker (MarkerSet::IndexOf); with mocap featurized, the pass that
+  // writes the joints' pelvis-local tracks — frames × 3 each, row-major,
+  // the layout the Gram slides and window copies read — also checks
+  // that every position it reads is finite. That is every position
+  // unless a segment repeats; MotionSequence::Validate covers the other
+  // cases and, on a failed check, supplies the exact Status.
+  const MarkerSet& marker_set = mocap.marker_set();
+  std::vector<size_t> joint_markers;
+  bool reads_every_marker = true;
+  for (size_t m = 0; m < marker_set.num_markers(); ++m) {
+    const Segment s = marker_set.segments()[m];
+    MOCEMG_ASSIGN_OR_RETURN(const size_t first, marker_set.IndexOf(s));
+    reads_every_marker = reads_every_marker && first == m;
+    if (s != Segment::kPelvis) joint_markers.push_back(first);
+  }
+  const bool write_tracks = options.use_mocap && !joint_markers.empty();
+  if (!write_tracks || !reads_every_marker || mocap.num_frames() == 0) {
+    MOCEMG_RETURN_NOT_OK(mocap.Validate());
+  }
+  const size_t track_len = 3 * mocap.num_frames();
+  std::unique_ptr<double[]> tracks;
+  if (write_tracks) {
+    tracks = std::make_unique_for_overwrite<double[]>(joint_markers.size() *
+                                                      track_len);
+    std::vector<double*> dst(joint_markers.size());
+    for (size_t j = 0; j < dst.size(); ++j) {
+      dst[j] = tracks.get() + j * track_len;
+    }
+    MOCEMG_ASSIGN_OR_RETURN(
+        const bool finite,
+        WritePelvisLocalTracks(mocap, options.local_transform, joint_markers,
+                               dst.data(), 3));
+    if (!finite) return mocap.Validate();
+  }
+  const size_t num_joints = write_tracks ? joint_markers.size() : 0;
   if (options.use_emg) {
     MOCEMG_RETURN_NOT_OK(emg.Validate());
     if (std::fabs(emg.sample_rate_hz() - mocap.frame_rate_hz()) > 1e-9) {
@@ -138,30 +174,13 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
       WindowPlan plan,
       MakeWindowPlan(frames, window_frames, hop_frames));
 
-  // Local transform once, then slice per window.
-  MotionSequence local;
-  std::vector<Segment> feature_segments;
-  if (options.use_mocap) {
-    MOCEMG_ASSIGN_OR_RETURN(local,
-                            ToPelvisLocal(mocap, options.local_transform));
-    for (Segment s : local.marker_set().segments()) {
-      if (s != Segment::kPelvis) feature_segments.push_back(s);
-    }
-    if (feature_segments.empty()) {
-      return Status::InvalidArgument(
-          "mocap modality enabled but capture has no non-pelvis markers");
-    }
+  if (options.use_mocap && joint_markers.empty()) {
+    return Status::InvalidArgument(
+        "mocap modality enabled but capture has no non-pelvis markers");
   }
+  const auto track = [&](size_t j) { return tracks.get() + j * track_len; };
 
-  // Hoist everything loop-invariant out of the window loop: the full
-  // per-segment joint tracks (previously re-copied once per window) and
-  // the per-channel EMG sample pointers.
-  std::vector<Matrix> joints;
-  joints.reserve(feature_segments.size());
-  for (Segment s : feature_segments) {
-    MOCEMG_ASSIGN_OR_RETURN(Matrix joint, local.JointMatrix(s));
-    joints.push_back(std::move(joint));
-  }
+  // Hoist the per-channel EMG sample pointers out of the window loop.
   const size_t num_channels = options.use_emg ? emg.num_channels() : 0;
   std::vector<const double*> channel_ptrs(num_channels, nullptr);
   for (size_t c = 0; c < num_channels; ++c) {
@@ -188,8 +207,8 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
   const size_t refresh_interval =
       std::max<size_t>(options.gram_refresh_interval, 1);
 
-  const size_t dim = WindowFeatureDimension(
-      options, num_channels, feature_segments.size());
+  const size_t dim =
+      WindowFeatureDimension(options, num_channels, num_joints);
   Matrix points(plan.num_windows(), dim);
 
   // With the generic grain (0 → up to 64 chunks) a typical trial gets
@@ -221,11 +240,10 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
         MocapFeatureScratch mocap_scratch;
         Matrix window(window_frames, 3);
         std::vector<EmgWindowSums> sums(
-            emg_mode == FeaturizationMode::kIncremental ? num_channels
-                                                        : 0);
+            emg_mode == FeaturizationMode::kIncremental ? num_channels : 0,
+            EmgWindowSums(options.emg_feature));
         std::vector<JointGramState> grams(
-            mocap_mode == FeaturizationMode::kIncremental ? joints.size()
-                                                          : 0);
+            mocap_mode == FeaturizationMode::kIncremental ? num_joints : 0);
         std::vector<GramSvd3Task> tasks(grams.size());
         ChunkGramStats& cs = gram_stats[chunk];
         WindowSpan prev{};
@@ -270,19 +288,18 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
               // in one batched call: the joints' rotation chains are
               // independent, and ComputeSvdFromGram3Many interleaves
               // them pairwise so their sqrt/divide latencies overlap.
-              for (size_t j = 0; j < joints.size(); ++j) {
-                const double* track = joints[j].RowPtr(0);
+              for (size_t j = 0; j < num_joints; ++j) {
                 if (refresh) {
-                  grams[j].Refresh(track + 3 * span.begin, span.length());
+                  grams[j].Refresh(track(j) + 3 * span.begin,
+                                   span.length());
                 } else {
-                  grams[j].Slide(track, prev.begin, prev.end, span.begin,
+                  grams[j].Slide(track(j), prev.begin, prev.end, span.begin,
                                  span.end);
                 }
                 grams[j].FillTask(&tasks[j]);
               }
               ComputeSvdFromGram3Many(tasks.data(), tasks.size());
-              for (size_t j = 0; j < joints.size(); ++j) {
-                const double* track = joints[j].RowPtr(0);
+              for (size_t j = 0; j < num_joints; ++j) {
                 bool fast = grams[j].FinishSolve(
                     tasks[j], options.gram_condition_floor, row + col,
                     /*fresh=*/refresh);
@@ -292,7 +309,8 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
                   // see incremental_window.h) often still clear this
                   // window without the full one-sided SVD. The refresh
                   // also resets drift for the windows after it.
-                  grams[j].Refresh(track + 3 * span.begin, span.length());
+                  grams[j].Refresh(track(j) + 3 * span.begin,
+                                   span.length());
                   ++cs.fresh_retries;
                   fast = grams[j].WeightedSvdFeature(
                       options.gram_condition_floor, row + col,
@@ -303,8 +321,7 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
                 } else {
                   // Conditioning guard: recompute this joint-window on
                   // the exact path (identical bytes to kExact).
-                  std::memcpy(window.RowPtr(0),
-                              joints[j].RowPtr(span.begin),
+                  std::memcpy(window.RowPtr(0), track(j) + 3 * span.begin,
                               span.length() * 3 * sizeof(double));
                   MOCEMG_RETURN_NOT_OK(ExtractMocapFeatureInto(
                       options.mocap_feature, window, &mocap_scratch,
@@ -314,10 +331,10 @@ Result<WindowFeatureMatrix> ExtractWindowFeatures(
                 col += 3;
               }
             } else {
-              for (const Matrix& joint : joints) {
+              for (size_t j = 0; j < num_joints; ++j) {
                 // The w×3 slice of a row-major frames×3 track is one
                 // contiguous block.
-                std::memcpy(window.RowPtr(0), joint.RowPtr(span.begin),
+                std::memcpy(window.RowPtr(0), track(j) + 3 * span.begin,
                             span.length() * 3 * sizeof(double));
                 MOCEMG_RETURN_NOT_OK(ExtractMocapFeatureInto(
                     options.mocap_feature, window, &mocap_scratch,

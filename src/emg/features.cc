@@ -211,7 +211,34 @@ inline bool PairCrossesZero(double a, double b) {
   return sign_change && std::fabs(b - a) >= 0.0;
 }
 
+// EmgWindowSums' statistics, as bits of its kept set.
+constexpr unsigned kSumAbs = 1;
+constexpr unsigned kSumSq = 2;
+constexpr unsigned kWaveformLength = 4;
+constexpr unsigned kZeroCrossings = 8;
+
+// The statistic a kind's incremental form reads; 0 for AR(4).
+unsigned StatisticOf(EmgFeatureKind kind) {
+  switch (kind) {
+    case EmgFeatureKind::kIav:
+    case EmgFeatureKind::kMav:
+      return kSumAbs;
+    case EmgFeatureKind::kRms:
+      return kSumSq;
+    case EmgFeatureKind::kWaveformLength:
+      return kWaveformLength;
+    case EmgFeatureKind::kZeroCrossings:
+      return kZeroCrossings;
+    case EmgFeatureKind::kAr4:
+      break;
+  }
+  return 0;
+}
+
 }  // namespace
+
+EmgWindowSums::EmgWindowSums(EmgFeatureKind kind)
+    : keep_(StatisticOf(kind)) {}
 
 void EmgWindowSums::Reset() {
   sum_abs = 0.0;
@@ -221,31 +248,46 @@ void EmgWindowSums::Reset() {
 }
 
 void EmgWindowSums::AddTailSample(double x) {
-  sum_abs += std::fabs(x);
-  sum_sq += x * x;
+  if (keep_ & kSumAbs) sum_abs += std::fabs(x);
+  if (keep_ & kSumSq) sum_sq += x * x;
 }
 
 void EmgWindowSums::AddTailSample(double x, double prev) {
   AddTailSample(x);
-  waveform_length += std::fabs(x - prev);
-  if (PairCrossesZero(prev, x)) ++zero_crossings;
+  if (keep_ & kWaveformLength) waveform_length += std::fabs(x - prev);
+  if ((keep_ & kZeroCrossings) && PairCrossesZero(prev, x)) {
+    ++zero_crossings;
+  }
 }
 
 void EmgWindowSums::RemoveHeadSample(double x, double next) {
-  sum_abs -= std::fabs(x);
-  sum_sq -= x * x;
-  waveform_length -= std::fabs(next - x);
-  if (PairCrossesZero(x, next)) --zero_crossings;
+  if (keep_ & kSumAbs) sum_abs -= std::fabs(x);
+  if (keep_ & kSumSq) sum_sq -= x * x;
+  if (keep_ & kWaveformLength) waveform_length -= std::fabs(next - x);
+  if ((keep_ & kZeroCrossings) && PairCrossesZero(x, next)) {
+    --zero_crossings;
+  }
 }
 
 void EmgWindowSums::Recompute(const double* samples, size_t begin,
                               size_t end) {
   Reset();
-  for (size_t i = begin; i < end; ++i) {
-    if (i > begin) {
-      AddTailSample(samples[i], samples[i - 1]);
-    } else {
-      AddTailSample(samples[i]);
+  // One loop per kept statistic; each accumulator takes its terms in
+  // ascending sample order, whichever others are kept.
+  if (keep_ & kSumAbs) {
+    for (size_t i = begin; i < end; ++i) sum_abs += std::fabs(samples[i]);
+  }
+  if (keep_ & kSumSq) {
+    for (size_t i = begin; i < end; ++i) sum_sq += samples[i] * samples[i];
+  }
+  if (keep_ & kWaveformLength) {
+    for (size_t i = begin + 1; i < end; ++i) {
+      waveform_length += std::fabs(samples[i] - samples[i - 1]);
+    }
+  }
+  if (keep_ & kZeroCrossings) {
+    for (size_t i = begin + 1; i < end; ++i) {
+      if (PairCrossesZero(samples[i - 1], samples[i])) ++zero_crossings;
     }
   }
 }
@@ -260,30 +302,54 @@ void EmgWindowSums::Slide(const double* samples, size_t old_begin,
   }
   // Scalars: the old window owns [old_begin, old_end), the new one
   // [new_begin, new_end); with overlap the difference is two ranges.
-  for (size_t i = old_begin; i < new_begin; ++i) {
-    sum_abs -= std::fabs(samples[i]);
-    sum_sq -= samples[i] * samples[i];
+  if (keep_ & kSumAbs) {
+    for (size_t i = old_begin; i < new_begin; ++i) {
+      sum_abs -= std::fabs(samples[i]);
+    }
+    for (size_t i = old_end; i < new_end; ++i) {
+      sum_abs += std::fabs(samples[i]);
+    }
   }
-  for (size_t i = old_end; i < new_end; ++i) {
-    sum_abs += std::fabs(samples[i]);
-    sum_sq += samples[i] * samples[i];
+  if (keep_ & kSumSq) {
+    for (size_t i = old_begin; i < new_begin; ++i) {
+      sum_sq -= samples[i] * samples[i];
+    }
+    for (size_t i = old_end; i < new_end; ++i) {
+      sum_sq += samples[i] * samples[i];
+    }
   }
   // Pairs (i−1, i): owned for i in (begin, end), so the leaving set is
   // i in [old_begin+1, new_begin+1) and the entering set is
   // i in [max(old_end, new_begin+1), new_end).
-  for (size_t i = old_begin + 1; i < new_begin + 1; ++i) {
-    waveform_length -= std::fabs(samples[i] - samples[i - 1]);
-    if (PairCrossesZero(samples[i - 1], samples[i])) --zero_crossings;
+  const size_t enter = std::max(old_end, new_begin + 1);
+  if (keep_ & kWaveformLength) {
+    for (size_t i = old_begin + 1; i < new_begin + 1; ++i) {
+      waveform_length -= std::fabs(samples[i] - samples[i - 1]);
+    }
+    for (size_t i = enter; i < new_end; ++i) {
+      waveform_length += std::fabs(samples[i] - samples[i - 1]);
+    }
   }
-  for (size_t i = std::max(old_end, new_begin + 1); i < new_end; ++i) {
-    waveform_length += std::fabs(samples[i] - samples[i - 1]);
-    if (PairCrossesZero(samples[i - 1], samples[i])) ++zero_crossings;
+  if (keep_ & kZeroCrossings) {
+    for (size_t i = old_begin + 1; i < new_begin + 1; ++i) {
+      if (PairCrossesZero(samples[i - 1], samples[i])) --zero_crossings;
+    }
+    for (size_t i = enter; i < new_end; ++i) {
+      if (PairCrossesZero(samples[i - 1], samples[i])) ++zero_crossings;
+    }
   }
 }
 
 Status EmgWindowSums::Emit(EmgFeatureKind kind, size_t n,
                            double* out) const {
   if (n == 0) return Status::InvalidArgument("empty feature window");
+  const unsigned needed = StatisticOf(kind);
+  if (needed != 0 && (keep_ & needed) == 0) {
+    return Status::FailedPrecondition(
+        std::string("these window sums do not keep the statistic EMG "
+                    "feature '") +
+        EmgFeatureKindName(kind) + "' reads");
+  }
   switch (kind) {
     case EmgFeatureKind::kIav:
       out[0] = sum_abs;

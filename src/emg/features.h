@@ -102,15 +102,29 @@ bool EmgFeatureSupportsIncremental(EmgFeatureKind kind);
 /// with a periodic Recompute (see core/incremental_window.h for the
 /// drift contract).
 ///
+/// Each feature reads one statistic (Σ|x| for IAV and MAV, Σx² for RMS,
+/// Σ|Δx| for waveform length, the count for zero crossings). Sums built
+/// for a kind keep only that statistic — the others stay zero — and a
+/// kept statistic takes exactly the same operations in the same order
+/// as when all four are kept, so its value is bit-identical.
+///
 /// Pair bookkeeping convention: the window [begin, end) owns the
 /// consecutive-sample pairs (i−1, i) for i in (begin, end) — exactly
 /// the pairs WaveformLength and ZeroCrossings visit.
 struct EmgWindowSums {
+  /// Keeps all four statistics, so Emit serves every incremental kind.
+  EmgWindowSums() = default;
+  /// Keeps only the statistic `kind` emits (none for AR(4)); Emit then
+  /// serves the kinds that read it. The extractor and
+  /// StreamingClassifier build theirs this way.
+  explicit EmgWindowSums(EmgFeatureKind kind);
+
   double sum_abs = 0.0;
   double sum_sq = 0.0;
   double waveform_length = 0.0;
   size_t zero_crossings = 0;
 
+  /// Zeroes the statistics; the kept set stays.
   void Reset();
 
   /// Exact recomputation over samples[begin, end) — the drift-bounding
@@ -139,8 +153,14 @@ struct EmgWindowSums {
 
   /// Writes the EmgFeatureWidth(kind) value(s) of the maintained window
   /// (of length n) into `out`. Fails with kInvalidArgument for kinds
-  /// without an incremental form (see EmgFeatureSupportsIncremental).
+  /// without an incremental form (see EmgFeatureSupportsIncremental),
+  /// and with kFailedPrecondition for a kind whose statistic these sums
+  /// do not keep.
   Status Emit(EmgFeatureKind kind, size_t n, double* out) const;
+
+ private:
+  // Bit set of kept statistics (see features.cc); all by default.
+  unsigned keep_ = ~0u;
 };
 
 }  // namespace mocemg

@@ -7,6 +7,8 @@
 #ifndef MOCEMG_MOCAP_LOCAL_TRANSFORM_H_
 #define MOCEMG_MOCAP_LOCAL_TRANSFORM_H_
 
+#include <vector>
+
 #include "mocap/motion_sequence.h"
 #include "util/result.h"
 
@@ -30,6 +32,23 @@ struct LocalTransformOptions {
 /// Fails if the motion does not capture the pelvis.
 Result<MotionSequence> ToPelvisLocal(const MotionSequence& motion,
                                      const LocalTransformOptions& options = {});
+
+/// \brief The pelvis-local rule itself, which ToPelvisLocal and the
+/// window-feature extractor both run: writes marker `markers[j]`'s
+/// pelvis-local position at frame f (x, y, z) to
+/// `tracks[j] + f * stride`, for every frame, in one pass over the
+/// positions. ToPelvisLocal writes every marker into a motion matrix
+/// (stride 3·markers); the extractor writes each joint's frames × 3
+/// track (stride 3).
+///
+/// Returns whether every coordinate of the pelvis and of the listed
+/// markers is finite, so a caller that lists every other marker
+/// validates the motion in the same pass. Fails if the motion does not
+/// capture the pelvis.
+Result<bool> WritePelvisLocalTracks(const MotionSequence& motion,
+                                    const LocalTransformOptions& options,
+                                    const std::vector<size_t>& markers,
+                                    double* const* tracks, size_t stride);
 
 }  // namespace mocemg
 

@@ -9,26 +9,38 @@
 namespace mocemg {
 namespace {
 
+inline double ClampNegative(double v) { return v < 0.0 ? 0.0 : v; }
+
 // Linear interpolation of `lanes` interleaved signals at the output
-// instants k/fs_out; lane l's samples go to out[l].
+// instants k/fs_out; lane l's samples go to out[l], clamped at zero
+// when `clamp` is set.
 void InterpolateLanes(const double* data, size_t frames, size_t lanes,
-                      double fs_in, double fs_out, std::vector<double>* out) {
+                      double fs_in, double fs_out, bool clamp,
+                      std::vector<double>* out) {
   const size_t out_len = ResampledLength(frames, fs_in, fs_out);
-  for (size_t l = 0; l < lanes; ++l) out[l].resize(out_len);
+  std::vector<double*> dst(lanes);
+  for (size_t l = 0; l < lanes; ++l) {
+    out[l].resize(out_len);
+    dst[l] = out[l].data();
+  }
   const double* last = data + (frames - 1) * lanes;
   for (size_t k = 0; k < out_len; ++k) {
     const double t = static_cast<double>(k) / fs_out;  // seconds
     const double src = t * fs_in;                      // fractional index
-    const size_t i0 = static_cast<size_t>(std::floor(src));
+    // src is never negative, so truncation is its floor.
+    const size_t i0 = static_cast<size_t>(src);
     if (i0 + 1 >= frames) {
-      for (size_t l = 0; l < lanes; ++l) out[l][k] = last[l];
+      for (size_t l = 0; l < lanes; ++l) {
+        dst[l][k] = clamp ? ClampNegative(last[l]) : last[l];
+      }
       continue;
     }
     const double frac = src - static_cast<double>(i0);
     const double* a = data + i0 * lanes;
     const double* b = a + lanes;
     for (size_t l = 0; l < lanes; ++l) {
-      out[l][k] = (1.0 - frac) * a[l] + frac * b[l];
+      const double v = (1.0 - frac) * a[l] + frac * b[l];
+      dst[l][k] = clamp ? ClampNegative(v) : v;
     }
   }
 }
@@ -70,12 +82,16 @@ size_t ResampledLength(size_t input_len, double fs_in, double fs_out) {
 }
 
 Status ResampleLanes(double* data, size_t frames, size_t lanes,
-                     double fs_in, double fs_out, std::vector<double>* out) {
+                     double fs_in, double fs_out, std::vector<double>* out,
+                     bool clamp_negative) {
   MOCEMG_RETURN_NOT_OK(ValidateRates(fs_in, fs_out));
   if (frames == 0 || fs_in == fs_out) {
     for (size_t l = 0; l < lanes; ++l) {
       out[l].resize(frames);
-      for (size_t f = 0; f < frames; ++f) out[l][f] = data[f * lanes + l];
+      for (size_t f = 0; f < frames; ++f) {
+        const double v = data[f * lanes + l];
+        out[l][f] = clamp_negative ? ClampNegative(v) : v;
+      }
     }
     return Status::OK();
   }
@@ -85,7 +101,7 @@ Status ResampleLanes(double* data, size_t frames, size_t lanes,
         BiquadCascade lp, DesignButterworthLowPass(8, 0.45 * fs_out, fs_in));
     lp.FiltFiltLanes(data, frames, lanes);
   }
-  InterpolateLanes(data, frames, lanes, fs_in, fs_out, out);
+  InterpolateLanes(data, frames, lanes, fs_in, fs_out, clamp_negative, out);
   return Status::OK();
 }
 
@@ -96,7 +112,8 @@ Result<std::vector<double>> Resample(const std::vector<double>& signal,
   std::vector<double> out;
   if (fs_out > fs_in) {
     // Nothing to filter: interpolate straight from the input.
-    InterpolateLanes(signal.data(), signal.size(), 1, fs_in, fs_out, &out);
+    InterpolateLanes(signal.data(), signal.size(), 1, fs_in, fs_out,
+                     /*clamp=*/false, &out);
     return out;
   }
   const size_t pad = std::min(signal.size() - 1, BiquadCascade::kFiltFiltPad);

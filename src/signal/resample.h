@@ -31,8 +31,12 @@ Result<std::vector<double>> Resample(const std::vector<double>& signal,
 /// out[l], bit-identical to Resample() on that lane alone. When fs_out <
 /// fs_in the anti-alias filter runs in place on `data`, so the buffer
 /// must hold BiquadCascade::FiltFiltLanes's edge padding around it.
+/// With `clamp_negative`, each output v is written as v < 0 ? 0 : v
+/// (NaN and −0 pass), the clamp a rectified envelope needs after the
+/// anti-alias filter's ringing, done in the same pass.
 Status ResampleLanes(double* data, size_t frames, size_t lanes,
-                     double fs_in, double fs_out, std::vector<double>* out);
+                     double fs_in, double fs_out, std::vector<double>* out,
+                     bool clamp_negative = false);
 
 /// \brief Length Resample() will produce for an input of `input_len`
 /// samples — used to pre-align multi-channel buffers. Equal rates keep

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/classifier.h"
@@ -244,6 +246,84 @@ TEST(EmgWindowSumsTest, SupportAndEmitErrors) {
   EXPECT_TRUE(ar.IsInvalidArgument());
   EXPECT_NE(ar.message().find("ar4"), std::string::npos) << ar;
   EXPECT_FALSE(sums.Emit(EmgFeatureKind::kIav, 0, out).ok());
+}
+
+TEST(EmgWindowSumsTest, KindKeepsOnlyItsStatisticBitForBit) {
+  // Sums built for one kind keep only the statistic it reads, with the
+  // same bits the all-statistics sums give it under every update form;
+  // the others stay zero and their kinds are refused.
+  const std::vector<double> samples = RandomEmg(300, 13);
+  const size_t w = 24;
+  const EmgFeatureKind kinds[] = {
+      EmgFeatureKind::kIav, EmgFeatureKind::kMav, EmgFeatureKind::kRms,
+      EmgFeatureKind::kWaveformLength, EmgFeatureKind::kZeroCrossings};
+  // IAV and MAV read the same statistic.
+  const auto statistic = [](EmgFeatureKind k) {
+    return k == EmgFeatureKind::kMav ? EmgFeatureKind::kIav : k;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (EmgFeatureKind kind : kinds) {
+    const std::string name = EmgFeatureKindName(kind);
+    EmgWindowSums all;
+    EmgWindowSums one(kind);
+    all.Recompute(samples.data(), 0, w);
+    one.Recompute(samples.data(), 0, w);
+    size_t prev = 0;
+    for (size_t begin = 6; begin + w <= samples.size(); begin += 6) {
+      all.Slide(samples.data(), prev, prev + w, begin, begin + w);
+      one.Slide(samples.data(), prev, prev + w, begin, begin + w);
+      prev = begin;
+      double a = 0.0;
+      double b = 0.0;
+      ASSERT_TRUE(all.Emit(kind, w, &a).ok());
+      ASSERT_TRUE(one.Emit(kind, w, &b).ok()) << name;
+      EXPECT_TRUE(same_bits(a, b)) << name << " begin=" << begin;
+    }
+    EmgWindowSums all_streamed;
+    EmgWindowSums one_streamed(kind);
+    size_t head = 0;
+    for (size_t f = 0; f < samples.size(); ++f) {
+      for (EmgWindowSums* s : {&all_streamed, &one_streamed}) {
+        if (f == 0) {
+          s->AddTailSample(samples[f]);
+        } else {
+          s->AddTailSample(samples[f], samples[f - 1]);
+        }
+        if (f + 1 - head > w) {
+          s->RemoveHeadSample(samples[head], samples[head + 1]);
+        }
+      }
+      if (f + 1 - head > w) ++head;
+      double a = 0.0;
+      double b = 0.0;
+      ASSERT_TRUE(all_streamed.Emit(kind, w, &a).ok());
+      ASSERT_TRUE(one_streamed.Emit(kind, w, &b).ok());
+      EXPECT_TRUE(same_bits(a, b)) << name << " frame=" << f;
+    }
+    for (EmgFeatureKind other : kinds) {
+      double out = 0.0;
+      const Status st = one.Emit(other, w, &out);
+      if (statistic(other) == statistic(kind)) {
+        EXPECT_TRUE(st.ok()) << name << " emits " << EmgFeatureKindName(other);
+      } else {
+        EXPECT_TRUE(st.IsFailedPrecondition())
+            << name << " emits " << EmgFeatureKindName(other) << ": " << st;
+      }
+    }
+    const int kept = (one.sum_abs != 0.0) + (one.sum_sq != 0.0) +
+                     (one.waveform_length != 0.0) +
+                     (one.zero_crossings != 0);
+    EXPECT_EQ(kept, 1) << name;
+  }
+  // AR(4) keeps nothing and still reports that it has no incremental
+  // form.
+  EmgWindowSums ar(EmgFeatureKind::kAr4);
+  ar.AddTailSample(1.0);
+  double out[4];
+  EXPECT_TRUE(ar.Emit(EmgFeatureKind::kAr4, 1, out).IsInvalidArgument());
+  EXPECT_TRUE(ar.Emit(EmgFeatureKind::kIav, 1, out).IsFailedPrecondition());
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "synth/dataset.h"
 
 namespace mocemg {
 namespace {
@@ -215,6 +218,79 @@ TEST(WindowFeaturesTest, AllValuesFinite) {
     ASSERT_TRUE(out.ok());
     for (double v : out->points.data()) {
       EXPECT_TRUE(std::isfinite(v));
+    }
+  }
+}
+
+// A capture's pelvis moved from the front of the marker set to the back:
+// same trajectories, different layout.
+MotionSequence PelvisLast(const MotionSequence& m) {
+  std::vector<Segment> order(m.marker_set().segments().begin() + 1,
+                             m.marker_set().segments().end());
+  order.push_back(Segment::kPelvis);
+  Matrix positions(m.num_frames(), 3 * order.size());
+  for (size_t j = 0; j < order.size(); ++j) {
+    const size_t src = *m.marker_set().IndexOf(order[j]);
+    for (size_t f = 0; f < m.num_frames(); ++f) {
+      for (size_t k = 0; k < 3; ++k) {
+        positions(f, 3 * j + k) = m.positions()(f, 3 * src + k);
+      }
+    }
+  }
+  return *MotionSequence::Create(MarkerSet(order), std::move(positions),
+                                 m.frame_rate_hz());
+}
+
+TEST(WindowFeaturesTest, PelvisLocalTransformMatchesPrelocalizedCapture) {
+  // The extractor's built-in pelvis-local transform must be exactly
+  // ToPelvisLocal: featurizing a global capture equals, bit for bit,
+  // featurizing its ToPelvisLocal image with the transform's heading
+  // step off (translating an already-local capture subtracts zeros).
+  for (Limb limb : {Limb::kRightHand, Limb::kRightLeg}) {
+    DatasetOptions lab;
+    lab.limb = limb;
+    lab.seed = 20070415;
+    lab.heading_range_rad = 2.5;  // make heading normalization matter
+    auto trial = GenerateTrial(lab, 3, 0, 11);
+    ASSERT_TRUE(trial.ok()) << trial.status();
+    auto conditioned = ConditionRecording(trial->emg_raw);
+    ASSERT_TRUE(conditioned.ok()) << conditioned.status();
+    const MotionSequence layouts[] = {trial->mocap, PelvisLast(trial->mocap)};
+    ASSERT_NE(*layouts[1].marker_set().IndexOf(Segment::kPelvis), 0u);
+    for (const MotionSequence& global : layouts) {
+      for (bool heading : {false, true}) {
+        for (FeaturizationMode mode :
+             {FeaturizationMode::kExact, FeaturizationMode::kIncremental}) {
+          const std::string where =
+              std::string(LimbName(limb)) + " pelvis at " +
+              std::to_string(*global.marker_set().IndexOf(Segment::kPelvis)) +
+              " heading=" + (heading ? "on" : "off") + " mode=" +
+              FeaturizationModeName(mode);
+          WindowFeatureOptions opts;
+          opts.window_ms = 100.0;
+          opts.hop_ms = 50.0;
+          opts.featurization_mode = mode;
+          opts.local_transform.normalize_heading = heading;
+          auto direct = ExtractWindowFeatures(global, *conditioned, opts);
+          ASSERT_TRUE(direct.ok()) << where << ": " << direct.status();
+
+          auto local = ToPelvisLocal(global, opts.local_transform);
+          ASSERT_TRUE(local.ok()) << where << ": " << local.status();
+          WindowFeatureOptions plain = opts;
+          plain.local_transform.normalize_heading = false;
+          auto via_local = ExtractWindowFeatures(*local, *conditioned, plain);
+          ASSERT_TRUE(via_local.ok()) << where << ": " << via_local.status();
+
+          const Matrix& a = direct->points;
+          const Matrix& b = via_local->points;
+          ASSERT_EQ(a.rows(), b.rows()) << where;
+          ASSERT_EQ(a.cols(), b.cols()) << where;
+          EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                                a.data().size() * sizeof(double)),
+                    0)
+              << where;
+        }
+      }
     }
   }
 }
