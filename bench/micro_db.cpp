@@ -6,8 +6,11 @@
 
 #include <map>
 
+#include "core/classifier.h"
 #include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "eval/protocols.h"
+#include "synth/dataset.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -72,8 +75,8 @@ void BM_IndexedKnn(benchmark::State& state) {
 BENCHMARK(BM_IndexedKnn)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Dimension sweep at fixed n: the paper-typical final-feature width
-// (2c = 30) up to 8x wider, where the SoA dot-form scan's advantage
-// over pointer-chased AoS rows grows with the row length. Reported in
+// (2c = 30) up to 8x wider, where the packed scan's advantage over
+// pointer-chased AoS rows grows with the row length. Reported in
 // BENCH_pr4.json alongside the paired kernel-vs-scalar families of
 // micro_distance.
 void BM_IndexedKnnDim(benchmark::State& state) {
@@ -92,7 +95,7 @@ void BM_IndexedKnnDim(benchmark::State& state) {
 BENCHMARK(BM_IndexedKnnDim)->Arg(30)->Arg(64)->Arg(128)->Arg(240);
 
 // Paired quantized-tier family (BENCH_pr5.json): mode 0 scans with the
-// PR 4 dot-form path alone (quantized_scan off), mode 1 adds the int8
+// exact tiled f64 scan alone (quantized_scan off), mode 1 adds the int8
 // coarse tier. Same binary, same pass, so the per-pass ratio cancels
 // host load. The partition count is pinned low (8 over 20000 records,
 // ~2500 rows each) so the in-partition scan — the stage the coarse
@@ -129,7 +132,7 @@ BENCHMARK(BM_QuantIndexedKnnDim)
     ->Args({128, 0})->Args({128, 1});
 
 // Paired fp32-exact-tier family (BENCH_pr9.json): mode 0 answers
-// through the f64 dot-form scan, mode 1 through the certified fp32
+// through the f64 tiled exact scan, mode 1 through the certified fp32
 // mirror scan with error-bound-gated double refine. Same binary, same
 // pass, identical (bit-for-bit) answers — the ratio is the end-to-end
 // indexed-kNN win from halving scan bandwidth. Quantization stays off
@@ -173,6 +176,133 @@ void BM_IndexBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexBuild)->Arg(1000);
+
+// The served_knn shape (e2ebench/): a FeatureIndex at default options
+// over 2,004 real final vectors, the featurized synthetic right-hand
+// captures of seed 20070416 (334 per class), from a classifier trained
+// at the paper's benchmark setting (seed 20070415, c = 15, 100/50 ms).
+// √N gives 45 partitions of ~45 rows, none coded, so every visit is an
+// f64-tier scan. Queries are the final vectors of 256 held-out
+// captures. Building it takes about 2 s, paid once by the first family
+// that runs.
+struct ServedShape {
+  MotionDatabase db;
+  FeatureIndex index;
+  std::vector<std::vector<double>> queries;
+};
+
+const ServedShape& Served() {
+  static const ServedShape* shape = [] {
+    constexpr uint64_t kSeed = 20070415;
+    DatasetOptions lab;
+    lab.limb = Limb::kRightHand;
+    lab.trials_per_class = 10;
+    lab.seed = kSeed;
+    auto training = GenerateDataset(lab);
+    MOCEMG_CHECK_OK(training.status());
+    ClassifierOptions opts;
+    opts.features.window_ms = 100.0;
+    opts.features.hop_ms = 50.0;
+    opts.features.parallel.max_threads = 1;
+    opts.fcm.num_clusters = 15;
+    opts.fcm.seed = kSeed ^ 0xC0FFEE;
+    opts.fcm.max_iterations = 80;
+    opts.fcm.epsilon = 1e-4;
+    auto clf =
+        MotionClassifier::Train(ToLabeledMotions(*std::move(training)), opts);
+    MOCEMG_CHECK_OK(clf.status());
+    const auto featurize = [&](const DatasetOptions& at, size_t cls,
+                               size_t trial, uint64_t seed) {
+      std::vector<CapturedMotion> one;
+      auto capture = GenerateTrial(at, cls, trial, seed);
+      MOCEMG_CHECK_OK(capture.status());
+      one.push_back(*std::move(capture));
+      const LabeledMotion m = ToLabeledMotions(std::move(one))[0];
+      auto feature = clf->Featurize(m.mocap, m.emg);
+      MOCEMG_CHECK_OK(feature.status());
+      return std::make_pair(m, *std::move(feature));
+    };
+    auto* out = new ServedShape;
+    DatasetOptions served = lab;
+    served.seed = kSeed + 1;
+    served.trials_per_class = 334;
+    const size_t classes = NumClassesForLimb(lab.limb);
+    Rng seeder(served.seed);
+    for (size_t i = 0; i < classes * served.trials_per_class; ++i) {
+      const size_t cls = i / served.trials_per_class;
+      auto [m, feature] = featurize(served, cls, i % served.trials_per_class,
+                                    seeder.NextUint64());
+      MotionRecord rec;
+      rec.name = m.label_name + "/" + std::to_string(i);
+      rec.label = m.label;
+      rec.label_name = m.label_name;
+      rec.feature = std::move(feature);
+      MOCEMG_CHECK_OK(out->db.Insert(std::move(rec)));
+    }
+    auto index = FeatureIndex::Build(&out->db);
+    MOCEMG_CHECK_OK(index.status());
+    out->index = *std::move(index);
+    Rng held_out(kSeed * 0x9E3779B97F4A7C15ULL + 5);
+    for (size_t i = 0; i < 256; ++i) {
+      out->queries.push_back(
+          featurize(lab, i % classes, 1000 + i, held_out.NextUint64())
+              .second);
+    }
+    return out;
+  }();
+  return *shape;
+}
+
+// Consecutive batches of `batch` served-shape queries, cycling the pool.
+std::vector<std::vector<std::vector<double>>> ServedBatches(size_t batch) {
+  const std::vector<std::vector<double>>& pool = Served().queries;
+  std::vector<std::vector<std::vector<double>>> batches(
+      pool.size() / batch);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    batches[b].assign(pool.begin() + static_cast<ptrdiff_t>(b * batch),
+                      pool.begin() + static_cast<ptrdiff_t>((b + 1) * batch));
+  }
+  return batches;
+}
+
+// The per-query path over a batch of `batch` queries, k = 5 as served.
+// Items are queries, so 1 / items_per_second is the time per query.
+void BM_ServedKnnLoop(benchmark::State& state) {
+  const ServedShape& s = Served();
+  const auto batches = ServedBatches(static_cast<size_t>(state.range(0)));
+  size_t next = 0;
+  for (auto _ : state) {
+    for (const std::vector<double>& query : batches[next]) {
+      auto hits = s.index.NearestNeighbors(query, 5);
+      MOCEMG_CHECK_OK(hits.status());
+      benchmark::DoNotOptimize(hits);
+    }
+    next = next + 1 == batches.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * state.range(0)));
+}
+BENCHMARK(BM_ServedKnnLoop)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
+
+// The query-block engine on the same batches, on one thread (the
+// served_knn server's budget).
+void BM_ServedKnnBlock(benchmark::State& state) {
+  const ServedShape& s = Served();
+  const auto batches = ServedBatches(static_cast<size_t>(state.range(0)));
+  ParallelOptions one_thread;
+  one_thread.max_threads = 1;
+  size_t next = 0;
+  for (auto _ : state) {
+    auto hits =
+        s.index.BatchNearestNeighbors(batches[next], 5, nullptr, &one_thread);
+    MOCEMG_CHECK_OK(hits.status());
+    benchmark::DoNotOptimize(hits);
+    next = next + 1 == batches.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * state.range(0)));
+}
+BENCHMARK(BM_ServedKnnBlock)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 
 }  // namespace
 }  // namespace mocemg

@@ -28,16 +28,16 @@ constexpr double kF32TierNormGate = 1e30;
 
 // Query-block scan knobs (DESIGN.md §16). kDefaultQueryBlock is the
 // auto block size for the batch entry points; kBlockRowSlab caps one
-// visit group's per-tier kernel output at g × slab entries, so block
-// scratch stays bounded on huge partitions. Both are pure performance
-// knobs: every per-(query, row) quantity is bit-identical at any
-// value, because each pair's kernel accumulation is self-contained and
-// every gate either evolves per-row within one query (coarse) or is
-// frozen at partition entry (dot-form tiers).
+// visit group's coded or fp32 kernel output at g × slab entries, so
+// block scratch stays bounded on huge partitions. Both are pure
+// performance knobs: every per-(query, row) quantity is bit-identical
+// at any value, because each pair's kernel accumulation is
+// self-contained and every gate either evolves per-row within one query
+// (coarse, f64) or is frozen at partition entry (fp32).
 constexpr size_t kDefaultQueryBlock = 32;
 constexpr size_t kBlockRowSlab = 4096;
 
-// Second prune stage for the dot-form tiers' frozen-gate survivors
+// Second prune stage for the fp32 tier's frozen-gate survivors
 // (DESIGN.md §16.3). With |dist − true| <= margin for every scored
 // row, at least k candidates have a true distance no greater than
 // kthC + margin, where kthC is the k-th smallest candidate dot-form
@@ -182,6 +182,7 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
     part->norms_sq[j] = norm_sq;
   }
   part->radius = std::sqrt(part->radius_sq);
+  part->tiles.clear();
   // fp32 mirror tier (DESIGN.md §15): partitions the quantized tier
   // will *not* code get a float32 copy of the block plus fp32 row
   // norms, so the exact scan can run the cheaper fp32 dot-form kernel
@@ -227,6 +228,8 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   part->quant_bits = static_cast<uint8_t>(options.quant_bits);
   const bool quantizable = options.quantized_scan && dim <= 60000;
   if (!quantizable || rows == 0 || rows < options.quantized_min_rows) {
+    // Uncoded: the exact scan reads the tiled copy (DESIGN.md §19).
+    part->PackTiles(dim);
     return;
   }
   const uint32_t levels = part->quant_bits == 4 ? 15u : 255u;
@@ -269,6 +272,11 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   } else {
     part->quant_codes = std::move(unpacked);
   }
+}
+
+void IndexPartitionSet::Partition::PackTiles(size_t dim) {
+  tiles.resize(L2TilesSize(size(), dim));
+  PackL2Tiles(block.data(), size(), dim, tiles.data());
 }
 
 void IndexPartitionSet::RefreshDerived() {
@@ -495,6 +503,20 @@ void IndexPartitionSet::RefinePush(const double* query, size_t dim,
   }
 }
 
+void IndexPartitionSet::PushTiled(const double* query, size_t dim,
+                                  const Partition& part, double* dist,
+                                  BoundedTopK* top) const {
+  // Every row is scored exactly, so a row enters the heap iff BoundedTopK
+  // keeps it; the test below only skips the pushes that would be
+  // rejected anyway (a tie at the k-th best still goes in, and the
+  // (distance, index) order decides).
+  const size_t rows = part.size();
+  SquaredL2Tiles(query, part.tiles.data(), rows, dim, dist);
+  for (size_t j = 0; j < rows; ++j) {
+    if (!(dist[j] > top->worst())) top->Push(dist[j], part.record_indices[j]);
+  }
+}
+
 void IndexPartitionSet::ScanExact(const std::vector<double>& query,
                                   double q_sq, BoundedTopK* top,
                                   Scratch* scratch,
@@ -559,7 +581,7 @@ void IndexPartitionSet::ScanExact(const std::vector<double>& query,
       // pruned row provably cannot belong to the final top k (the
       // margin covers |ssd_f32 − ssd_f64| plus the f64 dot-form
       // error, §15.2) and reported hits stay bit-identical to the f64
-      // path. Freezing the gate makes the survivor set independent of
+      // tier's. Freezing the gate makes the survivor set independent of
       // push order, which lets the refine run as one blocked gather
       // kernel call here and in the query-block scan — with identical
       // survivor sets (and so identical f32_refined counts) in both;
@@ -605,32 +627,11 @@ void IndexPartitionSet::ScanExact(const std::vector<double>& query,
                  top);
       continue;
     }
-    // Dot-form scan of the packed block: ~2/3 of the difference form's
-    // inner-loop work thanks to the precomputed row norms. The form is
-    // approximate, so any row within the kernel error bound of the
-    // k-th best at partition entry is re-checked with the exact
-    // kernels (same frozen-gate argument as the fp32 tier above) —
-    // reported hits are bit-identical to the linear scan.
-    SquaredL2DotOneToMany(query.data(), q_sq, part.block.data(),
-                          part.norms_sq.data(), rows, dim,
-                          scratch->dist.data());
+    // f64 tier: the exact distance of every row from the tiled copy,
+    // with rows in SIMD lanes — the linear scan's bits, so hits are
+    // bit-identical to it (DESIGN.md §19).
+    PushTiled(query.data(), dim, part, scratch->dist.data(), top);
     local.distance_computations += rows;
-    const double margin = DotFormErrorBound(dim, q_sq, part.max_norm_sq);
-    const bool entry_full = top->full();
-    const double entry_worst = top->worst();
-    scratch->ridx.clear();
-    scratch->cand.clear();
-    for (size_t j = 0; j < rows; ++j) {
-      if (entry_full && scratch->dist[j] > entry_worst + margin) {
-        continue;
-      }
-      scratch->ridx.push_back(static_cast<uint32_t>(j));
-      scratch->cand.push_back(scratch->dist[j]);
-    }
-    SelfGateCandidates(top->k(), margin, &scratch->ridx, &scratch->cand,
-                       &scratch->cand_sort);
-    RefinePush(query.data(), dim, part, scratch->ridx, &scratch->rdist,
-               top);
   }
 }
 
@@ -744,6 +745,7 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
   }
   bs->cursor.assign(b, 0);
   bs->active.assign(b, 1);
+  bs->solo.dist.resize(max_partition_size_);
   // fp32 query mirrors are refilled lazily per call, exactly like the
   // per-query path's scratch (the block scratch is reused across the
   // blocks of a batch chunk).
@@ -867,17 +869,23 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
         v0 = v1;
         continue;
       }
-      // Dot-form tiers. The fp32 norm gate is per query, so a mirrored
-      // partition's group can split between the fp32 and f64 scans.
+      // Uncoded partitions. The fp32 norm gate is per query, so a
+      // mirrored partition's group can split between the fp32 and f64
+      // tiers. An f64 member scores the partition's tiles on its own
+      // right away (a ~45-row partition's tiles stay in L1 across the
+      // group) and pushes exactly what ScanExact pushes; the members'
+      // heaps are independent, so running it before the fp32 members
+      // changes nothing.
       bs->group_members.clear();
-      bs->group_members_f64.clear();
       for (size_t v = v0; v < v1; ++v) {
         const size_t q = bs->visits[v].second;
         if (part.mirrored() &&
             query_sqs[q] + part.max_norm_sq < kF32TierNormGate) {
           bs->group_members.push_back(q);
         } else {
-          bs->group_members_f64.push_back(q);
+          PushTiled(queries + q * dim, dim, part, bs->solo.dist.data(),
+                    &tops[q]);
+          local.distance_computations += rows;
         }
       }
       const size_t g32 = bs->group_members.size();
@@ -946,57 +954,6 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           local.f32_scans += rows;
           local.f32_refined += bs->group_ridx[m].size();
           local.distance_computations += bs->group_ridx[m].size();
-          RefinePush(queries + q * dim, dim, part, bs->group_ridx[m],
-                     &bs->solo.rdist, &tops[q]);
-        }
-      }
-      const size_t g64 = bs->group_members_f64.size();
-      if (g64 > 0) {
-        // f64 dot-form tier: same frozen-gate + self-gate + gather
-        // shape at full precision.
-        bs->group_q.resize(g64 * dim);
-        bs->group_qsq.resize(g64);
-        bs->group_margin.resize(g64);
-        bs->group_worst.resize(g64);
-        bs->group_full.resize(g64);
-        for (size_t m = 0; m < g64; ++m) {
-          const size_t q = bs->group_members_f64[m];
-          std::memcpy(bs->group_q.data() + m * dim, queries + q * dim,
-                      dim * sizeof(double));
-          bs->group_qsq[m] = query_sqs[q];
-          bs->group_margin[m] =
-              DotFormErrorBound(dim, query_sqs[q], part.max_norm_sq);
-          bs->group_full[m] = tops[q].full() ? 1 : 0;
-          bs->group_worst[m] = tops[q].worst();
-          bs->group_ridx[m].clear();
-          bs->group_cand[m].clear();
-        }
-        bs->group_dist.resize(g64 * kBlockRowSlab);
-        for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-          const size_t slab = std::min(rows - r0, kBlockRowSlab);
-          SquaredL2DotManyToMany(
-              bs->group_q.data(), bs->group_qsq.data(), g64,
-              part.block.data() + r0 * dim, part.norms_sq.data() + r0,
-              slab, dim, bs->group_dist.data(), kBlockRowSlab);
-          for (size_t m = 0; m < g64; ++m) {
-            const double* row = bs->group_dist.data() + m * kBlockRowSlab;
-            for (size_t j = 0; j < slab; ++j) {
-              if (bs->group_full[m] &&
-                  row[j] > bs->group_worst[m] + bs->group_margin[m]) {
-                continue;
-              }
-              bs->group_ridx[m].push_back(
-                  static_cast<uint32_t>(r0 + j));
-              bs->group_cand[m].push_back(row[j]);
-            }
-          }
-        }
-        for (size_t m = 0; m < g64; ++m) {
-          const size_t q = bs->group_members_f64[m];
-          SelfGateCandidates(tops[q].k(), bs->group_margin[m],
-                             &bs->group_ridx[m], &bs->group_cand[m],
-                             &bs->solo.cand_sort);
-          local.distance_computations += rows;
           RefinePush(queries + q * dim, dim, part, bs->group_ridx[m],
                      &bs->solo.rdist, &tops[q]);
         }

@@ -16,9 +16,11 @@
 /// arithmetic instead of doubles) discards every record whose
 /// *provable* distance lower bound exceeds the current k-th best, and
 /// only the survivors are re-ranked with the exact full-precision
-/// kernels. Results are bit-identical to the linear scan — the coarse
-/// tier only ever changes how much full-precision work is done, never
-/// which hits are reported.
+/// kernels. Partitions too small to code are scored exactly, every
+/// row, from a copy stored as 8-row tiles (DESIGN.md §19). Results are
+/// bit-identical to the linear scan — the coarse tier only ever changes
+/// how much full-precision work is done, never which hits are
+/// reported.
 ///
 /// Since the sharded serving layer (§13) the partition machinery is
 /// split in two: ComputeIndexLayout runs the k-means and produces the
@@ -87,7 +89,7 @@ struct FeatureIndexOptions {
   /// Two-tier scan: build int8 codes at Rebuild and use the coarse
   /// pass to prune records before the exact re-rank. Results are
   /// bit-identical either way; OFF skips the codes entirely and scans
-  /// with the PR 4 dot-form + refine path alone.
+  /// every partition with the exact tiled kernel alone.
   bool quantized_scan = true;
   /// Coarse-code width: 8 (one byte per dim, 256-level grid) or 4
   /// (nibble-packed two dims per byte, 16-level grid — half the coarse
@@ -97,13 +99,13 @@ struct FeatureIndexOptions {
   /// bound change. Any other value fails Build/Pack.
   size_t quant_bits = 8;
   /// Partitions with fewer rows than this are scanned directly with
-  /// the dot-form kernel: the coarse pass carries a fixed per-partition
-  /// cost (query clamp + encode + residual measurement + threshold
-  /// math), and below a few hundred rows that overhead exceeds the
-  /// full-precision work it could save — measured on the √N-partition
-  /// default layout, where ~100-row partitions ran ~1.3x slower with
-  /// codes than without. Pure build-time property, so scan behaviour
-  /// stays deterministic.
+  /// the exact tiled kernel: the coarse pass carries a fixed
+  /// per-partition cost (query clamp + encode + residual measurement +
+  /// threshold math), and below a few hundred rows that overhead
+  /// exceeds the full-precision work it could save — measured on the
+  /// √N-partition default layout, where ~100-row partitions ran ~1.3x
+  /// slower with codes than without. Pure build-time property, so scan
+  /// behaviour stays deterministic.
   size_t quantized_min_rows = 256;
   /// Exact-tier storage precision (see ExactPrecision above). Resolved
   /// (env applied) at Build/Rebuild and stored back, so snapshots and
@@ -179,9 +181,14 @@ class IndexPartitionSet {
     /// Member records, ascending database order.
     std::vector<size_t> record_indices;
     /// SoA: the members' features packed row-major (size × dim), and
-    /// their squared norms for the dot-product-form scan.
+    /// their squared norms for the coarse scans' dot form.
     std::vector<double> block;
     std::vector<double> norms_sq;
+    /// The f64 tier's copy of `block` as 8-row tiles, dimension-major
+    /// within a tile (PackL2Tiles), which the exact scan reads through
+    /// SquaredL2Tiles (DESIGN.md §19). Empty when the partition is
+    /// coded. Derived from `block`, so snapshots do not store it.
+    std::vector<double> tiles;
     /// Quantized tier (empty when disabled or below quantized_min_rows):
     /// per-dimension offsets + uniform scale of the affine grid and the
     /// members' integer codes, plus the partition's worst measured
@@ -217,13 +224,15 @@ class IndexPartitionSet {
     size_t code_stride(size_t dim) const {
       return quant_bits == 4 ? (dim + 1) / 2 : dim;
     }
+    /// Fills `tiles` from `block`; done for uncoded partitions only.
+    void PackTiles(size_t dim);
   };
 
   /// Per-query scratch, reused across a batch chunk.
   struct Scratch {
     std::vector<double> ref_sq;   ///< squared distance to each reference
     std::vector<std::pair<double, size_t>> order;
-    std::vector<double> dist;     ///< per-partition scan buffer
+    std::vector<double> dist;     ///< exact distances of one partition
     std::vector<double> qclamp;   ///< query clamped into the grid box
     std::vector<uint8_t> qcodes;  ///< query coded on a partition's grid
     std::vector<uint8_t> qpacked; ///< nibble-packed qcodes (4-bit tier)
@@ -231,8 +240,8 @@ class IndexPartitionSet {
     std::vector<uint32_t> ssd;    ///< integer coarse distances
     std::vector<float> query_f32; ///< fp32 copy of the query (f32 tier)
     std::vector<float> dist_f32;  ///< fp32 dot-form scan buffer
-    std::vector<uint32_t> ridx;   ///< refine-survivor row indices
-    std::vector<double> cand;     ///< survivors' dot-form distances
+    std::vector<uint32_t> ridx;   ///< fp32 refine-survivor row indices
+    std::vector<double> cand;     ///< survivors' fp32 dot-form distances
     std::vector<double> cand_sort;///< order-statistic buffer (§16.3)
     std::vector<double> rdist;    ///< gathered exact refine distances
     BoundedTopK top;
@@ -263,13 +272,10 @@ class IndexPartitionSet {
     std::vector<uint8_t> active;    ///< per-query not-finished flag
     /// One round's (partition, query) visit selections.
     std::vector<std::pair<size_t, size_t>> visits;
-    /// The current visit group's member queries, split per tier.
+    /// The current visit group's coded or fp32-tier member queries.
     std::vector<size_t> group_members;
-    std::vector<size_t> group_members_f64;
     /// Group-shared kernel inputs/outputs (one partition, g queries).
-    std::vector<double> group_q;        ///< gathered f64 queries
-    std::vector<double> group_qsq;
-    std::vector<double> group_dist;     ///< g × slab dot-form distances
+    std::vector<double> group_dist;     ///< g × slab coarse dot-form scores
     std::vector<float> group_qf32;      ///< gathered fp32 queries
     std::vector<float> group_qsq32;
     std::vector<float> group_dist32;
@@ -279,7 +285,7 @@ class IndexPartitionSet {
     std::vector<double> group_worst;    ///< per-member entry-time k-th
     std::vector<double> group_margin;
     std::vector<uint8_t> group_full;
-    /// Per-member refine-survivor lists (absolute row indices) and
+    /// Per-member fp32 refine-survivor lists (absolute row indices) and
     /// their dot-form distances (the §16.3 self-gate's inputs).
     std::vector<std::vector<uint32_t>> group_ridx;
     std::vector<std::vector<double>> group_cand;
@@ -288,8 +294,9 @@ class IndexPartitionSet {
     std::vector<float> query_f32;       ///< B × dim
     std::vector<float> q_sq_f32;
     std::vector<uint8_t> qf32_ready;
-    /// Per-visit scalar scratch (coarse prep buffers, refine gather,
-    /// heap extraction) shared with the per-query path's code.
+    /// Per-visit scalar scratch (coarse prep buffers, exact distances,
+    /// refine gather, heap extraction) shared with the per-query
+    /// path's code.
     Scratch solo;
   };
 
@@ -406,12 +413,17 @@ class IndexPartitionSet {
   void VisitCoarse(const double* query, double q_sq, size_t dim,
                    const Partition& part, BoundedTopK* top,
                    Scratch* scratch, IndexQueryStats* stats) const;
-  /// Gather-refines the survivor rows (one blocked fp32→f64 /
-  /// dot-form→difference-form kernel call) and pushes them in row
-  /// order. Push order cannot change the final top-k set (top_k.h).
+  /// Gather-refines the fp32 tier's survivor rows (one blocked f64
+  /// kernel call) and pushes them in row order. Push order cannot
+  /// change the final top-k set (top_k.h).
   void RefinePush(const double* query, size_t dim, const Partition& part,
                   const std::vector<uint32_t>& ridx,
                   std::vector<double>* rdist, BoundedTopK* top) const;
+  /// The f64 tier's partition visit: scores every row exactly from the
+  /// tiles into `dist` (size() entries) and pushes each row that can
+  /// still enter `top`.
+  void PushTiled(const double* query, size_t dim, const Partition& part,
+                 double* dist, BoundedTopK* top) const;
 
   std::vector<Partition> partitions_;
   /// Partition references packed row-major (num_partitions × dim) so

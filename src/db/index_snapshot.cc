@@ -387,6 +387,10 @@ class IndexSnapshotCodec {
           std::to_string(quant_bits) + "-bit width implies " +
           std::to_string(expect_codes));
     }
+    // The f64 tier's tiled copy is derived from the block, so the
+    // format does not carry it: rebuild it for an uncoded partition.
+    part->tiles.clear();
+    if (part->quant_codes.empty()) part->PackTiles(static_cast<size_t>(dim));
     // Version-2 partitions predate the fp32 mirror; leave it empty
     // (the loaded index behaves exactly like an f64 build).
     part->mirror_max_abs = 0.0;

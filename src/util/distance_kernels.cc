@@ -72,6 +72,22 @@ void SquaredL2Gather(const double* query, const double* block,
                                         out);
 }
 
+void PackL2Tiles(const double* block, size_t rows, size_t d,
+                 double* tiles) {
+  std::fill(tiles, tiles + L2TilesSize(rows, d), 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    double* lane = tiles + (r / kL2TileRows) * d * kL2TileRows +
+                   r % kL2TileRows;
+    const double* row = block + r * d;
+    for (size_t i = 0; i < d; ++i) lane[i * kL2TileRows] = row[i];
+  }
+}
+
+void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
+                    size_t d, double* out) {
+  internal::ActiveKernelOps().l2_tiles(query, tiles, rows, d, out);
+}
+
 void RowSquaredNorms(const double* block, size_t rows, size_t d,
                      double* out) {
   internal::ActiveKernelOps().row_norms(block, rows, d, out);

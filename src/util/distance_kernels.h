@@ -3,11 +3,14 @@
 /// every retrieval and clustering hot loop (kNN scans, k-means
 /// assignment, the FCM/GK membership steps).
 ///
-/// Three shapes:
+/// Four shapes:
 ///
 ///  - **pair**       — one (x, y) distance (`SquaredL2`, `DotProduct`),
 ///  - **one-to-many** — one query against a packed row-major block
 ///    (`SquaredL2OneToMany`, `SquaredL2DotOneToMany`),
+///  - **tiled**      — one query against rows stored as 8-row tiles,
+///    dimension-major within a tile, with the rows in SIMD lanes
+///    (`SquaredL2Tiles`, layout by `PackL2Tiles`),
 ///  - **many-to-many** — a query batch against a block, tiled over the
 ///    block rows so a tile stays L1/L2-resident across the whole query
 ///    batch (`SquaredL2ManyToMany`).
@@ -30,10 +33,11 @@
 /// The dot-product form `d²(q, r) = ‖q‖² + ‖r‖² − 2⟨q, r⟩` (fed by
 /// per-row norms precomputed at index build) trades the subtraction out
 /// of the inner loop but rounds differently from the difference form;
-/// `SquaredL2DotOneToMany` is therefore *approximate* and callers that
-/// need exactness re-check candidates within `DotFormErrorBound` using
-/// the exact pair kernel (see DESIGN.md §10.2 for the bound's
-/// derivation).
+/// `SquaredL2DotOneToMany` is therefore *approximate*, within
+/// `DotFormErrorBound` (DESIGN.md §10.2). The index's degraded-mode
+/// coarse scan and the fp32 tier's bound use it; the exact f64 scan
+/// reads rows as 8-row tiles through `SquaredL2Tiles` instead, which
+/// keeps the difference form's bits (DESIGN.md §19).
 ///
 /// Non-finite inputs propagate exactly as in a scalar loop: any NaN
 /// coordinate (or an Inf − Inf difference) yields NaN, otherwise an Inf
@@ -44,6 +48,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "util/kernel_dispatch.h"
 
 namespace mocemg {
 
@@ -224,12 +230,35 @@ void SquaredL2DotManyToMany(const double* queries, const double* query_sqs,
                             double* out, size_t out_stride);
 
 /// \brief out[i] = SquaredL2(query, block + row_indices[i]*d, d) for a
-/// gathered index list — the blocked refine kernel the fp32 tier and
-/// the f64 dot-form re-check use to batch their unseparable rows.
-/// Bit-identical per index to the exact pair kernel.
+/// gathered index list — the blocked refine kernel the fp32 tier uses
+/// to re-evaluate its unseparable rows in double. Bit-identical per
+/// index to the exact pair kernel.
 void SquaredL2Gather(const double* query, const double* block,
                      const uint32_t* row_indices, size_t n, size_t d,
                      double* out);
+
+/// \brief Doubles in the tiled copy of `rows` rows of dimension d: the
+/// rows rounded up to whole tiles of kL2TileRows (kernel_dispatch.h),
+/// times d.
+inline size_t L2TilesSize(size_t rows, size_t d) {
+  return (rows + kL2TileRows - 1) / kL2TileRows * kL2TileRows * d;
+}
+
+/// \brief Copies `rows` packed row-major rows into 8-row tiles,
+/// dimension-major within a tile: element (row r, dim i) lands at
+/// `tiles[((r / 8) * d + i) * 8 + r % 8]`. The pad rows of a partial
+/// last tile are zero. `tiles` holds L2TilesSize(rows, d) doubles.
+void PackL2Tiles(const double* block, size_t rows, size_t d,
+                 double* tiles);
+
+/// \brief Exact tiled scan: out[r] = ‖query − row r‖² for the `rows`
+/// rows of a PackL2Tiles copy, each bit-identical to `SquaredL2(query,
+/// row r, d)`. The backends put a tile's 8 rows in SIMD lanes, and every
+/// lane keeps the pair kernel's four accumulators and combine, so no
+/// row pays a horizontal reduction or a scalar tail. Writes out[0, rows)
+/// only.
+void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
+                    size_t d, double* out);
 
 /// \brief out[r] = ‖block_row_r‖², bit-identical to SquaredNorm per row.
 void RowSquaredNorms(const double* block, size_t rows, size_t d,

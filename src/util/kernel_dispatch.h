@@ -23,14 +23,17 @@
 /// remainder handling in the same lanes), the float32 mirror kernels
 /// implement the identical 4-lane order at fp32 precision, and the
 /// integer coarse kernels are exact by construction (int32 sums of
-/// squared byte diffs are associative), and the biquad lane kernel runs
-/// each lane's recurrence with the scalar loop's own operations.
-/// Switching backends can never change a kNN result, a pruning
-/// decision, a clustering iterate or a conditioned EMG sample — only
-/// the wall-clock. The contract is enforced by
-/// tests/util/kernel_dispatch_test.cc across dims 1–67 (lanes 1–9 and
-/// frames 0–300 for the biquad kernel) for every backend the binary
-/// carries.
+/// squared byte diffs are associative), the tiled exact scan keeps the
+/// 4-lane order per row with rows in SIMD lanes, and the biquad lane
+/// kernel runs each lane's recurrence with the scalar loop's own
+/// operations. Switching backends can never change a kNN result, a
+/// pruning decision, a clustering iterate or a conditioned EMG sample —
+/// only the wall-clock. The contract is enforced by
+/// tests/util/kernel_dispatch_test.cc across dims 1–67 (rows 0–37 for
+/// the tiled scan; lanes 1–9 and frames 0–300 for the biquad kernel)
+/// for every backend the binary carries. The backend TUs compile with
+/// -ffp-contract=off, and so does the whole project, so the scalar
+/// reference cannot be contracted to FMA on a target that has it.
 ///
 /// **Override.** `MOCEMG_KERNEL={auto,scalar,avx2,avx512,neon}` (env,
 /// read once at first dispatch) or SetKernelBackend() (CLI / tests)
@@ -59,6 +62,9 @@ enum class KernelBackend : int {
   kNeon = 4,    ///< aarch64 Advanced SIMD (+dotprod when available)
 };
 
+/// \brief Rows per tile of the layout `KernelOps::l2_tiles` reads.
+constexpr size_t kL2TileRows = 8;
+
 /// \brief Function-pointer table one backend fills in. All entries are
 /// non-null and honour the contracts of distance_kernels.h /
 /// quant_kernels.h; `ssd4_one_to_many` scans 4-bit nibble-packed codes
@@ -77,8 +83,18 @@ enum class KernelBackend : int {
 /// per-pair accumulator latency chain, but every pair keeps its own
 /// self-contained 4-lane accumulator, so loop order can never change a
 /// result. `l2_gather` evaluates `squared_l2_pair` at a gathered index
-/// list (the fp32 tier's f64 refine and the f64 dot-form re-check use
-/// it to batch their unseparable rows); same per-pair contract.
+/// list; it serves only the fp32 tier's f64 refine. Same per-pair
+/// contract.
+///
+/// `l2_tiles` is the exact scan of the f64 tier. It reads a partition
+/// stored as 8-row tiles, dimension-major within a tile (element (row
+/// r, dim i) at `tiles[((r / 8) * d + i) * 8 + r % 8]`, pad rows zero;
+/// see PackL2Tiles), and writes `out[r]` for r < rows. The rows of a
+/// tile sit in SIMD lanes. Lane r adds dim i into accumulator i mod 4
+/// in increasing i, as a separate multiply and add (never FMA), and
+/// returns `(a0 + a1) + (a2 + a3)`, so `out[r]` has the bits of
+/// `squared_l2_pair(query, row r, d)` (NaN payloads aside: which NaN
+/// operand an add passes on is not part of the contract).
 ///
 /// `biquad_cascade_lanes` runs a Direct-Form-II-transposed biquad
 /// cascade in place over `lanes` interleaved independent signals: frame
@@ -140,6 +156,8 @@ struct KernelOps {
   void (*biquad_cascade_lanes)(const double* coeffs, size_t sections,
                                double* state, double* data, size_t frames,
                                size_t lanes, bool reverse);
+  void (*l2_tiles)(const double* query, const double* tiles, size_t rows,
+                   size_t d, double* out);
 };
 
 /// \brief Stable lowercase name ("auto", "scalar", "avx2", ...).

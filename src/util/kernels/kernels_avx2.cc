@@ -26,6 +26,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
@@ -530,6 +531,77 @@ void Avx2L2Gather(const double* query, const double* block,
   }
 }
 
+// Tiled exact scan (kernel_dispatch.h): a tile's 8 rows fill two ymm
+// (rows 0-3 and 4-7), and each of the pair kernel's four accumulators
+// is one such pair, so every lane does SquaredL2's per-dim subtract,
+// multiply and add, with no horizontal reduction and no scalar tail.
+// The eight accumulators are independent add chains.
+
+static_assert(kL2TileRows == 8, "a tile is two ymm of doubles");
+
+inline __m256d TileSquares(__m256d q, const double* col) {
+  const __m256d diff = _mm256_sub_pd(q, _mm256_loadu_pd(col));
+  return _mm256_mul_pd(diff, diff);
+}
+
+void Avx2L2Tiles(const double* query, const double* tiles, size_t rows,
+                 size_t d, double* out) {
+  for (size_t r0 = 0; r0 < rows; r0 += kL2TileRows) {
+    const double* tile = tiles + r0 * d;
+    __m256d lo0 = _mm256_setzero_pd(), hi0 = _mm256_setzero_pd();
+    __m256d lo1 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+    __m256d lo2 = _mm256_setzero_pd(), hi2 = _mm256_setzero_pd();
+    __m256d lo3 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
+    size_t i = 0;
+    for (; i + 4 <= d; i += 4) {
+      const double* col = tile + i * kL2TileRows;
+      __m256d q = _mm256_set1_pd(query[i]);
+      lo0 = _mm256_add_pd(lo0, TileSquares(q, col));
+      hi0 = _mm256_add_pd(hi0, TileSquares(q, col + 4));
+      q = _mm256_set1_pd(query[i + 1]);
+      lo1 = _mm256_add_pd(lo1, TileSquares(q, col + 8));
+      hi1 = _mm256_add_pd(hi1, TileSquares(q, col + 12));
+      q = _mm256_set1_pd(query[i + 2]);
+      lo2 = _mm256_add_pd(lo2, TileSquares(q, col + 16));
+      hi2 = _mm256_add_pd(hi2, TileSquares(q, col + 20));
+      q = _mm256_set1_pd(query[i + 3]);
+      lo3 = _mm256_add_pd(lo3, TileSquares(q, col + 24));
+      hi3 = _mm256_add_pd(hi3, TileSquares(q, col + 28));
+    }
+    // Remainder dims land in accumulators 0..2, as in the pair kernel.
+    const double* col = tile + i * kL2TileRows;
+    if (i < d) {
+      const __m256d q = _mm256_set1_pd(query[i]);
+      lo0 = _mm256_add_pd(lo0, TileSquares(q, col));
+      hi0 = _mm256_add_pd(hi0, TileSquares(q, col + 4));
+    }
+    if (i + 1 < d) {
+      const __m256d q = _mm256_set1_pd(query[i + 1]);
+      lo1 = _mm256_add_pd(lo1, TileSquares(q, col + 8));
+      hi1 = _mm256_add_pd(hi1, TileSquares(q, col + 12));
+    }
+    if (i + 2 < d) {
+      const __m256d q = _mm256_set1_pd(query[i + 2]);
+      lo2 = _mm256_add_pd(lo2, TileSquares(q, col + 16));
+      hi2 = _mm256_add_pd(hi2, TileSquares(q, col + 20));
+    }
+    const __m256d lo =
+        _mm256_add_pd(_mm256_add_pd(lo0, lo1), _mm256_add_pd(lo2, lo3));
+    const __m256d hi =
+        _mm256_add_pd(_mm256_add_pd(hi0, hi1), _mm256_add_pd(hi2, hi3));
+    const size_t n = std::min(rows - r0, kL2TileRows);
+    if (n == kL2TileRows) {
+      _mm256_storeu_pd(out + r0, lo);
+      _mm256_storeu_pd(out + r0 + 4, hi);
+    } else {
+      alignas(32) double lanes[kL2TileRows];
+      _mm256_store_pd(lanes, lo);
+      _mm256_store_pd(lanes + 4, hi);
+      std::memcpy(out + r0, lanes, n * sizeof(double));
+    }
+  }
+}
+
 // Integer sums are exact at any order, so the code-block variants just
 // tile the one-to-many kernels for cache residency (64 KiB of codes per
 // tile at d = 64), streaming each tile once per query block.
@@ -582,6 +654,7 @@ const KernelOps& Avx2KernelOps() {
       Avx2Ssd8ManyToMany,
       Avx2Ssd4ManyToMany,
       X86BiquadCascadeLanes,
+      Avx2L2Tiles,
   };
   return ops;
 }

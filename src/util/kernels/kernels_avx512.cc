@@ -21,6 +21,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
@@ -771,6 +772,86 @@ void Avx512L2Gather(const double* query, const double* block,
   }
 }
 
+// Tiled exact scan (kernel_dispatch.h): a tile's 8 rows fill one zmm,
+// and each of the pair kernel's four accumulators is one zmm, so every
+// lane does SquaredL2's per-dim subtract, multiply and add, with no
+// horizontal reduction and no scalar tail. Two tiles run together, so
+// eight independent add chains hide the add latency, and they share
+// each broadcast of a query element.
+
+static_assert(kL2TileRows == 8, "a tile is one zmm of doubles");
+
+inline __m512d TileSquares(__m512d q, const double* col) {
+  const __m512d diff = _mm512_sub_pd(q, _mm512_loadu_pd(col));
+  return _mm512_mul_pd(diff, diff);
+}
+
+// Scores the T tiles starting at `tiles` and writes their first n rows
+// (8·(T − 1) < n <= 8·T).
+template <size_t T>
+inline void Avx512L2TileRun(const double* query, const double* tiles,
+                            size_t d, double* out, size_t n) {
+  const size_t stride = kL2TileRows * d;
+  __m512d a0[T], a1[T], a2[T], a3[T];
+  for (size_t t = 0; t < T; ++t) {
+    a0[t] = a1[t] = a2[t] = a3[t] = _mm512_setzero_pd();
+  }
+  size_t i = 0;
+  for (; i + 4 <= d; i += 4) {
+    const __m512d q0 = _mm512_set1_pd(query[i]);
+    const __m512d q1 = _mm512_set1_pd(query[i + 1]);
+    const __m512d q2 = _mm512_set1_pd(query[i + 2]);
+    const __m512d q3 = _mm512_set1_pd(query[i + 3]);
+    for (size_t t = 0; t < T; ++t) {
+      const double* col = tiles + t * stride + i * kL2TileRows;
+      a0[t] = _mm512_add_pd(a0[t], TileSquares(q0, col));
+      a1[t] = _mm512_add_pd(a1[t], TileSquares(q1, col + 8));
+      a2[t] = _mm512_add_pd(a2[t], TileSquares(q2, col + 16));
+      a3[t] = _mm512_add_pd(a3[t], TileSquares(q3, col + 24));
+    }
+  }
+  // Remainder dims land in accumulators 0..2, as in the pair kernel.
+  for (size_t t = 0; t < T; ++t) {
+    const double* col = tiles + t * stride + i * kL2TileRows;
+    if (i < d) {
+      a0[t] = _mm512_add_pd(a0[t],
+                            TileSquares(_mm512_set1_pd(query[i]), col));
+    }
+    if (i + 1 < d) {
+      a1[t] = _mm512_add_pd(
+          a1[t], TileSquares(_mm512_set1_pd(query[i + 1]), col + 8));
+    }
+    if (i + 2 < d) {
+      a2[t] = _mm512_add_pd(
+          a2[t], TileSquares(_mm512_set1_pd(query[i + 2]), col + 16));
+    }
+  }
+  for (size_t t = 0; t < T; ++t) {
+    const __m512d sum = _mm512_add_pd(_mm512_add_pd(a0[t], a1[t]),
+                                      _mm512_add_pd(a2[t], a3[t]));
+    const size_t m = std::min(n - t * kL2TileRows, kL2TileRows);
+    if (m == kL2TileRows) {
+      _mm512_storeu_pd(out + t * kL2TileRows, sum);
+    } else {
+      alignas(64) double lanes[kL2TileRows];
+      _mm512_store_pd(lanes, sum);
+      std::memcpy(out + t * kL2TileRows, lanes, m * sizeof(double));
+    }
+  }
+}
+
+void Avx512L2Tiles(const double* query, const double* tiles, size_t rows,
+                   size_t d, double* out) {
+  size_t r0 = 0;
+  for (; r0 + kL2TileRows < rows; r0 += 2 * kL2TileRows) {
+    Avx512L2TileRun<2>(query, tiles + r0 * d, d, out + r0,
+                       std::min(rows - r0, 2 * kL2TileRows));
+  }
+  if (r0 < rows) {
+    Avx512L2TileRun<1>(query, tiles + r0 * d, d, out + r0, rows - r0);
+  }
+}
+
 // Integer sums are exact at any order; tile the one-to-many kernels so
 // a code tile streamed once serves every query in the block.
 void Avx512Ssd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
@@ -822,6 +903,7 @@ const KernelOps& Avx512KernelOps() {
       Avx512Ssd8ManyToMany,
       Avx512Ssd4ManyToMany,
       X86BiquadCascadeLanes,
+      Avx512L2Tiles,
   };
   return ops;
 }

@@ -509,6 +509,8 @@ const KernelOps& NeonKernelOps() {
       // No NEON lane kernel yet: the scalar reference (bit-identical by
       // definition) answers for it.
       ScalarKernelOps().biquad_cascade_lanes,
+      // Nor a NEON tiled scan: the scalar entry answers for it too.
+      ScalarKernelOps().l2_tiles,
   };
   return ops;
 }

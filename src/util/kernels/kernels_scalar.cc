@@ -174,6 +174,44 @@ void ScalarL2Gather(const double* query, const double* block,
   }
 }
 
+// Tiled exact scan (kernel_dispatch.h): a tile's 8 rows run side by
+// side, each with its own four accumulators fed in the pair kernel's
+// order (dim i into accumulator i mod 4, ascending i), so every row's
+// result is SquaredL2's. The pad rows of a partial last tile are
+// computed and dropped.
+inline void AddTileSquares(double q, const double* col, double* acc) {
+  for (size_t l = 0; l < kL2TileRows; ++l) {
+    const double diff = q - col[l];
+    acc[l] += diff * diff;
+  }
+}
+
+void ScalarL2Tiles(const double* query, const double* tiles, size_t rows,
+                   size_t d, double* out) {
+  for (size_t r0 = 0; r0 < rows; r0 += kL2TileRows) {
+    const double* tile = tiles + r0 * d;
+    double a0[kL2TileRows] = {}, a1[kL2TileRows] = {};
+    double a2[kL2TileRows] = {}, a3[kL2TileRows] = {};
+    size_t i = 0;
+    for (; i + 4 <= d; i += 4) {
+      const double* col = tile + i * kL2TileRows;
+      AddTileSquares(query[i], col, a0);
+      AddTileSquares(query[i + 1], col + kL2TileRows, a1);
+      AddTileSquares(query[i + 2], col + 2 * kL2TileRows, a2);
+      AddTileSquares(query[i + 3], col + 3 * kL2TileRows, a3);
+    }
+    // Remainder dims land in accumulators 0..2, as in the pair kernel.
+    const double* col = tile + i * kL2TileRows;
+    if (i < d) AddTileSquares(query[i], col, a0);
+    if (i + 1 < d) AddTileSquares(query[i + 1], col + kL2TileRows, a1);
+    if (i + 2 < d) AddTileSquares(query[i + 2], col + 2 * kL2TileRows, a2);
+    const size_t n = std::min(rows - r0, kL2TileRows);
+    for (size_t l = 0; l < n; ++l) {
+      out[r0 + l] = (a0[l] + a1[l]) + (a2[l] + a3[l]);
+    }
+  }
+}
+
 void ScalarSsd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
                           const uint8_t* codes, size_t rows, size_t d,
                           uint32_t* out, size_t out_stride) {
@@ -291,6 +329,7 @@ const KernelOps& ScalarKernelOps() {
       ScalarSsd8ManyToMany,
       ScalarSsd4ManyToMany,
       ScalarBiquadCascadeLanes,
+      ScalarL2Tiles,
   };
   return ops;
 }

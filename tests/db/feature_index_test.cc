@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
+#include "db/index_snapshot.h"
 #include "util/distance_kernels.h"
 #include "util/random.h"
 
@@ -75,34 +78,156 @@ MotionDatabase MakeDbDim(size_t n, size_t dim, uint64_t seed) {
   return db;
 }
 
-// The dot-form scan is approximate, but candidates within the error
-// bound are re-checked with the exact pair kernel — so the index must be
-// *bit-identical* to the linear scan, not merely close, at every
-// dimension (each 4-way unroll remainder included).
+// MakeDbDim plus the exact tier's edge cases: every 9th record repeats
+// the previous record's features (distance ties, broken toward the
+// smaller record index), and record 1 sits near ±1e300, so its squared
+// distance to any ordinary query is +Inf.
+MotionDatabase MakeEdgeDb(size_t n, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  MotionDatabase db;
+  std::vector<double> previous;
+  for (size_t i = 0; i < n; ++i) {
+    MotionRecord r;
+    r.name = "m" + std::to_string(i);
+    r.label = i % 4;
+    r.label_name = "class" + std::to_string(r.label);
+    r.feature.resize(dim);
+    const double cx = static_cast<double>(i % 4) * 20.0;
+    for (size_t j = 0; j < dim; ++j) {
+      r.feature[j] = (j == 0 ? cx : 0.0) + rng.Gaussian(0, 1.0);
+    }
+    if (i == 1) {
+      r.feature[0] = 1e300;
+      r.feature[dim - 1] = dim > 1 ? -1e300 : 1e300;
+    }
+    if (i % 9 == 8) r.feature = previous;
+    previous = r.feature;
+    EXPECT_TRUE(db.Insert(std::move(r)).ok());
+  }
+  return db;
+}
+
+void ExpectSameHits(const std::vector<QueryHit>& want,
+                    const std::vector<QueryHit>& got,
+                    const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].record_index, got[i].record_index)
+        << where << " rank " << i;
+    uint64_t want_bits = 0, got_bits = 0;
+    std::memcpy(&want_bits, &want[i].distance, sizeof(want_bits));
+    std::memcpy(&got_bits, &got[i].distance, sizeof(got_bits));
+    EXPECT_EQ(want_bits, got_bits) << where << " rank " << i;
+  }
+}
+
+// The exact tier must be *bit-identical* to the linear scan, not merely
+// close, at every dimension: each remainder of the 4-lane accumulation
+// and of 8-row groups, partitions whose sizes are not multiples of 8,
+// ties and an Inf distance. That holds for the per-query path, the
+// query-block path at several block sizes, and an index restored from
+// a snapshot. The summed visit counters are pinned as well, so a change
+// to the scan cannot move them unnoticed. The precision is pinned to f64
+// (the tier the counters describe), whatever MOCEMG_EXACT_PRECISION says.
 TEST(FeatureIndexTest, ResultsBitIdenticalToLinearScanAcrossDims) {
-  for (size_t dim : {5, 16, 30, 33, 67}) {
-    MotionDatabase db = MakeDbDim(150, dim, 40 + dim);
-    auto index = FeatureIndex::Build(&db);
+  struct Pinned {
+    size_t dim;
+    size_t distance_computations;
+    size_t partitions_visited;
+    size_t partitions_pruned;
+  };
+  const Pinned pinned[] = {
+      {1, 15347, 1026, 1566},  {3, 17799, 1179, 1413},
+      {4, 18684, 1231, 1361},  {5, 19077, 1216, 1376},
+      {8, 18975, 1242, 1350},  {9, 19348, 1318, 1274},
+      {30, 20792, 1417, 1175}, {31, 20875, 1359, 1233},
+      {67, 23443, 1513, 1079},
+  };
+  const size_t n = 150;
+  FeatureIndexOptions f64;
+  f64.exact_precision = ExactPrecision::kF64;
+  for (const Pinned& pin : pinned) {
+    const size_t dim = pin.dim;
+    MotionDatabase db = MakeEdgeDb(n, dim, 40 + dim);
+    auto index = FeatureIndex::Build(&db, f64);
     ASSERT_TRUE(index.ok()) << index.status();
     Rng rng(50 + dim);
-    for (int q = 0; q < 20; ++q) {
+    std::vector<std::vector<double>> queries;
+    for (int q = 0; q < 70; ++q) {
       std::vector<double> query(dim);
       for (size_t j = 0; j < dim; ++j) {
         query[j] = (j == 0 ? rng.Uniform(-5.0, 65.0)
                            : rng.Gaussian(0, 2.0));
       }
-      auto linear = db.NearestNeighbors(query, 5);
-      auto indexed = index->NearestNeighbors(query, 5);
-      ASSERT_TRUE(linear.ok());
-      ASSERT_TRUE(indexed.ok());
-      ASSERT_EQ(linear->size(), indexed->size());
-      for (size_t i = 0; i < linear->size(); ++i) {
-        EXPECT_EQ((*linear)[i].record_index, (*indexed)[i].record_index)
-            << "dim " << dim << " query " << q << " rank " << i;
-        EXPECT_EQ((*linear)[i].distance, (*indexed)[i].distance)
-            << "dim " << dim << " query " << q << " rank " << i;
-      }
+      queries.push_back(std::move(query));
     }
+    // Queries on a stored row and on a duplicated one: zero distances
+    // and ties at the top of the list.
+    queries.push_back(db.record(3).feature);
+    queries.push_back(db.record(17).feature);
+    auto restored =
+        DeserializeFeatureIndex(*SerializeFeatureIndex(*index), &db);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    IndexQueryStats sum;
+    for (const size_t k : {size_t{1}, size_t{5}, n}) {
+      const std::string at =
+          "dim " + std::to_string(dim) + " k " + std::to_string(k);
+      std::vector<std::vector<QueryHit>> linear;
+      IndexQueryStats per_query;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto want = db.NearestNeighbors(queries[q], k);
+        ASSERT_TRUE(want.ok());
+        IndexQueryStats one, one_restored;
+        auto got = index->NearestNeighbors(queries[q], k, &one);
+        auto got_restored =
+            restored->NearestNeighbors(queries[q], k, &one_restored);
+        ASSERT_TRUE(got.ok());
+        ASSERT_TRUE(got_restored.ok());
+        const std::string where = at + " query " + std::to_string(q);
+        ExpectSameHits(*want, *got, where);
+        ExpectSameHits(*want, *got_restored, where + " (restored)");
+        EXPECT_EQ(one.distance_computations,
+                  one_restored.distance_computations) << where;
+        per_query.distance_computations += one.distance_computations;
+        per_query.partitions_visited += one.partitions_visited;
+        per_query.partitions_pruned += one.partitions_pruned;
+        linear.push_back(*std::move(want));
+      }
+      sum.distance_computations += per_query.distance_computations;
+      sum.partitions_visited += per_query.partitions_visited;
+      sum.partitions_pruned += per_query.partitions_pruned;
+      const auto check_batch = [&](const FeatureIndex& idx,
+                                   const std::string& where) {
+        IndexQueryStats stats;
+        auto got = idx.BatchNearestNeighbors(queries, k, &stats);
+        ASSERT_TRUE(got.ok()) << where;
+        ASSERT_EQ(got->size(), queries.size());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          ExpectSameHits(linear[q], (*got)[q],
+                         where + " query " + std::to_string(q));
+        }
+        EXPECT_EQ(stats.distance_computations,
+                  per_query.distance_computations) << where;
+        EXPECT_EQ(stats.partitions_visited, per_query.partitions_visited)
+            << where;
+        EXPECT_EQ(stats.partitions_pruned, per_query.partitions_pruned)
+            << where;
+      };
+      for (const size_t block : {1, 7, 32, 64}) {
+        FeatureIndexOptions opts = f64;
+        opts.query_block = block;
+        auto blocked = FeatureIndex::Build(&db, opts);
+        ASSERT_TRUE(blocked.ok());
+        check_batch(*blocked, at + " block " + std::to_string(block));
+      }
+      check_batch(*restored, at + " restored");
+    }
+    EXPECT_EQ(sum.distance_computations, pin.distance_computations)
+        << "dim " << dim;
+    EXPECT_EQ(sum.partitions_visited, pin.partitions_visited)
+        << "dim " << dim;
+    EXPECT_EQ(sum.partitions_pruned, pin.partitions_pruned)
+        << "dim " << dim;
   }
 }
 

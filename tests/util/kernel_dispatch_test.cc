@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/distance_kernels.h"
 #include "util/quant_kernels.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -128,6 +129,7 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->ssd8_many_to_many, nullptr);
     EXPECT_NE(ops->ssd4_many_to_many, nullptr);
     EXPECT_NE(ops->biquad_cascade_lanes, nullptr);
+    EXPECT_NE(ops->l2_tiles, nullptr);
   }
 }
 
@@ -582,6 +584,63 @@ TEST(KernelDispatchTest, BiquadCascadeLanesMatchScalarBitExactly) {
                 << where << " state " << i;
           }
         }
+      }
+    }
+  }
+}
+
+// The tiled exact scan the f64 index tier runs: on every usable
+// backend, each row of a PackL2Tiles copy scores the bits of
+// squared_l2_pair on that row. Dims 1-67 meet every remainder of the
+// 4-lane accumulation and of the backends' vector widths; 0-37 rows meet
+// every partial last tile and the two-tile runs. Specials ride in the
+// rows and the query. Slots past `rows` must stay untouched.
+TEST(KernelDispatchTest, L2TilesMatchPairKernelBitExactly) {
+  const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
+  ASSERT_NE(ref, nullptr);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             1e300,
+                             -1e300,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3.0e-310,
+                             -0.0};
+  const auto same = [](double a, double b) {
+    return BitsEqual(a, b) || (std::isnan(a) && std::isnan(b));
+  };
+  constexpr double kCanary = 12345.678;
+  Rng rng(44);
+  for (size_t d = 1; d <= kMaxDim; ++d) {
+    for (size_t rows = 0; rows <= 37; ++rows) {
+      std::vector<double> query = RandomVector(d, &rng);
+      std::vector<double> block = RandomVector(rows * d, &rng);
+      if ((d + rows) % 3 == 0) {
+        for (double& v : block) {
+          if (rng.NextBelow(8) == 0) {
+            v = specials[rng.NextBelow(std::size(specials))];
+          }
+        }
+      }
+      if ((d + rows) % 5 == 0) {
+        query[rng.NextBelow(d)] = specials[rng.NextBelow(std::size(specials))];
+      }
+      std::vector<double> tiles(L2TilesSize(rows, d));
+      PackL2Tiles(block.data(), rows, d, tiles.data());
+      for (KernelBackend b : UsableKernelBackends()) {
+        const KernelOps* ops = GetKernelOps(b);
+        ASSERT_NE(ops, nullptr);
+        std::vector<double> out(rows + 1, kCanary);
+        ops->l2_tiles(query.data(), tiles.data(), rows, d, out.data());
+        const std::string where = std::string(ops->name) + " dim " +
+                                  std::to_string(d) + " rows " +
+                                  std::to_string(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          const double want =
+              ref->squared_l2_pair(query.data(), block.data() + r * d, d);
+          ASSERT_TRUE(same(out[r], want)) << where << " row " << r;
+        }
+        ASSERT_EQ(out[rows], kCanary) << where;
       }
     }
   }

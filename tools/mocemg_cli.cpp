@@ -47,6 +47,7 @@
 #include "emg/emg_io.h"
 #include "mocap/trc_io.h"
 #include "util/csv.h"
+#include "util/distance_kernels.h"
 #include "util/kernel_dispatch.h"
 #include "util/logging.h"
 #include "util/macros.h"
@@ -743,10 +744,11 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for all seventeen table entries (seven f64/int ops,
+// across dims 1..67 for all eighteen table entries (seven f64/int ops,
 // four fp32-mirror ops, the five query-block many-to-many/gather ops,
-// exercised with out_stride > rows, and the biquad lane kernel over
-// 1..67 frames of 1..9 lanes, forward and reverse) — the same
+// exercised with out_stride > rows, the biquad lane kernel over 1..67
+// frames of 1..9 lanes, forward and reverse, and the tiled exact scan
+// over 1..19 rows) — the same
 // bit-exactness contract the unit tests enforce, exercised on the
 // actual production binary and CPU. Also reports per-op backend
 // coverage; a compiled backend with a missing (null) table entry fails
@@ -792,6 +794,7 @@ std::vector<std::pair<const char*, bool>> NamedOpPresence(
       {"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
       {"ssd4_many_to_many", ops->ssd4_many_to_many != nullptr},
       {"biquad_cascade_lanes", ops->biquad_cascade_lanes != nullptr},
+      {"l2_tiles", ops->l2_tiles != nullptr},
   };
 }
 
@@ -1001,6 +1004,23 @@ Status VerifyKernelEquivalence() {
           }
         }
       }
+      // Tiled exact scan: 1..19 rows (every partial last tile and the
+      // two-tile runs) of the same fixtures, each row against the pair
+      // kernel.
+      const size_t tile_rows = 1 + d % 19;
+      std::vector<double> tile_block(tile_rows * d);
+      for (double& v : tile_block) v = rng.Gaussian(0.0, 1.0);
+      std::vector<double> tiles(L2TilesSize(tile_rows, d));
+      PackL2Tiles(tile_block.data(), tile_rows, d, tiles.data());
+      std::vector<double> tiled(tile_rows);
+      ops->l2_tiles(x.data(), tiles.data(), tile_rows, d, tiled.data());
+      for (size_t r = 0; r < tile_rows; ++r) {
+        if (!BitsEqual(tiled[r], ref->squared_l2_pair(
+                                     x.data(), tile_block.data() + r * d,
+                                     d))) {
+          return fail("l2_tiles");
+        }
+      }
       // Biquad lane kernel: d frames of 1..9 interleaved lanes through
       // a cascade of 1..6 stable sections, both directions, from a
       // carried state.
@@ -1061,7 +1081,7 @@ Status VerifyOpCoverage(std::vector<std::string>* lines) {
     }
     std::string line = std::string(KernelBackendName(backend)) + ": ";
     if (missing.empty()) {
-      line += "all 17 ops";
+      line += "all 18 ops";
     } else {
       line += "MISSING " + missing;
       holes = Status::Unknown(
@@ -1110,7 +1130,7 @@ int RunKernelInfo(const Args& args) {
     }
     std::printf("  equivalence:  %s\n",
                 equiv.ok() ? "every usable backend bit-identical to scalar "
-                             "(dims 1..67, all 17 ops)"
+                             "(dims 1..67, all 18 ops)"
                            : equiv.ToString().c_str());
   }
   return equiv.ok() ? 0 : 1;

@@ -32,6 +32,8 @@ ctest --preset "$preset" "$@"
 # QueryBlock is the §16 query-block grid: together with the fp32 loop
 # below, the blocked many-to-many scan path gets sanitizer coverage
 # under MOCEMG_KERNEL={scalar,auto} x MOCEMG_EXACT_PRECISION={f64,f32}.
+# QueryServer is the served index path (its index and sharded
+# bit-identity tests scan through the tiled f64 kernel, §19).
 # Acquisition|Biquad|Resample|Butterworth are the EMG conditioning
 # suites (§17): they drive the biquad lane kernel one lane at a time
 # and with every channel in lockstep, on both backends.
@@ -39,7 +41,7 @@ for kern in scalar auto; do
   echo "== $preset: kernel/index/conditioning suites under" \
     "MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|Acquisition|Biquad|Resample|Butterworth' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer|Acquisition|Biquad|Resample|Butterworth' \
     --output-on-failure
 done
 
@@ -56,7 +58,7 @@ for kern in scalar auto; do
     "MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL=$kern =="
   MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL="$kern" \
     ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer' \
     --output-on-failure
 done
 
