@@ -284,9 +284,9 @@ void BM_ServedKnnLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ServedKnnLoop)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 
-// The query-block engine on the same batches, on one thread (the
-// served_knn server's budget).
-void BM_ServedKnnBlock(benchmark::State& state) {
+// One BatchNearestNeighbors call per batch, on one thread (the
+// served_knn server's budget): the call the query server makes.
+void BM_ServedKnnBatchCall(benchmark::State& state) {
   const ServedShape& s = Served();
   const auto batches = ServedBatches(static_cast<size_t>(state.range(0)));
   ParallelOptions one_thread;
@@ -302,7 +302,7 @@ void BM_ServedKnnBlock(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * state.range(0)));
 }
-BENCHMARK(BM_ServedKnnBlock)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_ServedKnnBatchCall)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 
 }  // namespace
 }  // namespace mocemg

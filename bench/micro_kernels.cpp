@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/distance_kernels.h"
 #include "util/kernel_dispatch.h"
 #include "util/logging.h"
 #include "util/quant_kernels.h"
@@ -66,28 +67,6 @@ void BM_SsdOneToMany(benchmark::State& state) {
 }
 BENCHMARK(BM_SsdOneToMany)->ArgsProduct({{16, 30, 64, 128, 240}, {0, 1}});
 
-// Args: {dim, mode}. The blocked many-to-many coarse sweep a batched
-// degraded drain performs: Q queries against the same row block.
-void BM_SsdBlocked(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const KernelOps* ops = OpsForMode(state.range(1));
-  const size_t rows = 1024;
-  const size_t num_queries = 16;
-  const auto qc = ByteVec(num_queries * dim, 8, 13);
-  const auto codes = ByteVec(rows * dim, 8, 14);
-  std::vector<uint32_t> out(num_queries * rows);
-  for (auto _ : state) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ops->ssd8_one_to_many(qc.data() + q * dim, codes.data(), rows, dim,
-                            out.data() + q * rows);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * num_queries * rows));
-}
-BENCHMARK(BM_SsdBlocked)->ArgsProduct({{30, 64, 128}, {0, 1}});
-
 // Args: {dim, mode}. The 4-bit nibble-packed variant: half the bytes
 // per row of BM_SsdOneToMany at the same logical dim.
 void BM_Ssd4OneToMany(benchmark::State& state) {
@@ -135,26 +114,6 @@ std::vector<float> GaussianVecF(size_t n, uint64_t seed) {
   return v;
 }
 
-// Args: {dim, mode}. The fp32 mirror scan at the heart of the f32
-// exact tier: same dims and row count as BM_L2OneToMany, so the
-// fp32-vs-f64 kernel ratio the PR9 gate wants is this family against
-// that one at matching {dim, mode}.
-void BM_L2F32OneToMany(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const KernelOps* ops = OpsForMode(state.range(1));
-  const size_t rows = 2048;
-  const auto query = GaussianVecF(dim, 21);
-  const auto block = GaussianVecF(rows * dim, 22);
-  std::vector<float> out(rows);
-  for (auto _ : state) {
-    ops->l2_f32_one_to_many(query.data(), block.data(), rows, dim,
-                            out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
-}
-BENCHMARK(BM_L2F32OneToMany)->ArgsProduct({{30, 64, 128, 240}, {0, 1}});
-
 // Args: {dim, mode}. The dot-form fp32 scan the index actually runs
 // (precomputed row norms, one dot per row).
 void BM_L2DotF32OneToMany(benchmark::State& state) {
@@ -185,9 +144,10 @@ void BM_L2DotF64OneToMany(benchmark::State& state) {
   const auto query = GaussianVec(dim, 23);
   const auto block = GaussianVec(rows * dim, 24);
   std::vector<double> norms(rows), out(rows);
-  ops->row_norms(block.data(), rows, dim, norms.data());
-  double q_sq = 0.0;
-  ops->row_norms(query.data(), 1, dim, &q_sq);
+  for (size_t r = 0; r < rows; ++r) {
+    norms[r] = SquaredNorm(block.data() + r * dim, dim);
+  }
+  const double q_sq = SquaredNorm(query.data(), dim);
   for (auto _ : state) {
     ops->l2dot_one_to_many(query.data(), q_sq, block.data(), norms.data(),
                            rows, dim, out.data());

@@ -32,15 +32,6 @@
 //                              mode 1: ApplyUpdate + shard-aware
 //                              revalidation keeps the untouched shards'
 //                              cache entries (BENCH_pr7.json).
-//   BM_BatchedKnn/<batch>/<dim>/<mode>
-//                              mode 0: batch × NearestNeighbors in a
-//                              loop; mode 1: one BatchNearestNeighbors
-//                              query-block call. Identical index, one
-//                              thread — the ratio isolates the
-//                              many-to-many scan restructuring
-//                              (DESIGN.md §16) from parallelism and
-//                              caching (BENCH_pr10.json; gated at
-//                              batch >= 16, dim >= 30 on SIMD hosts).
 //
 // Results are bit-identical between the modes by construction (the
 // server's contract); the families measure only how fast the same
@@ -48,7 +39,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <vector>
 
 #include "db/feature_index.h"
@@ -343,59 +333,6 @@ void BM_ServedKnnRobust(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * workload->size()));
 }
 BENCHMARK(BM_ServedKnnRobust)->Arg(0)->Arg(1);
-
-// Per-query loop vs the query-block batched scan over the identical
-// single-thread index. Answers are bit-identical by the §16 contract;
-// the pair measures only how fast the same answers arrive as the
-// micro-batch grows and the per-partition bytes amortize.
-void BM_BatchedKnn(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  const size_t dim = static_cast<size_t>(state.range(1));
-  const bool batched = state.range(2) == 1;
-  struct Fixture {
-    MotionDatabase db;
-    FeatureIndex index;
-  };
-  static std::map<size_t, Fixture*>* fixtures =
-      new std::map<size_t, Fixture*>();
-  Fixture*& fx = (*fixtures)[dim];
-  if (fx == nullptr) {
-    fx = new Fixture{MakeDb(kRecords, dim, 11), FeatureIndex()};
-    FeatureIndexOptions iopts;
-    iopts.parallel.max_threads = 1;
-    auto built = FeatureIndex::Build(&fx->db, iopts);
-    MOCEMG_CHECK_OK(built.status());
-    fx->index = std::move(*built);
-  }
-  const std::vector<std::vector<double>> workload =
-      MakeQueries(batch, dim, 606 + dim);
-  if (batched) {
-    for (auto _ : state) {
-      auto hits = fx->index.BatchNearestNeighbors(workload, kK);
-      benchmark::DoNotOptimize(hits);
-      MOCEMG_CHECK_OK(hits.status());
-    }
-  } else {
-    for (auto _ : state) {
-      for (const auto& q : workload) {
-        auto hits = fx->index.NearestNeighbors(q, kK);
-        benchmark::DoNotOptimize(hits);
-        MOCEMG_CHECK_OK(hits.status());
-      }
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * workload.size()));
-}
-BENCHMARK(BM_BatchedKnn)
-    ->Args({4, 16, 0})
-    ->Args({4, 16, 1})
-    ->Args({16, 64, 0})
-    ->Args({16, 64, 1})
-    ->Args({64, 64, 0})
-    ->Args({64, 64, 1})
-    ->Args({64, 240, 0})
-    ->Args({64, 240, 1});
 
 }  // namespace
 }  // namespace mocemg

@@ -26,19 +26,8 @@ namespace {
 // guaranteed upstream — no NaN.
 constexpr double kF32TierNormGate = 1e30;
 
-// Query-block scan knobs (DESIGN.md §16). kDefaultQueryBlock is the
-// auto block size for the batch entry points; kBlockRowSlab caps one
-// visit group's coded or fp32 kernel output at g × slab entries, so
-// block scratch stays bounded on huge partitions. Both are pure
-// performance knobs: every per-(query, row) quantity is bit-identical
-// at any value, because each pair's kernel accumulation is
-// self-contained and every gate either evolves per-row within one query
-// (coarse, f64) or is frozen at partition entry (fp32).
-constexpr size_t kDefaultQueryBlock = 32;
-constexpr size_t kBlockRowSlab = 4096;
-
 // Second prune stage for the fp32 tier's frozen-gate survivors
-// (DESIGN.md §16.3). With |dist − true| <= margin for every scored
+// (DESIGN.md §15.6). With |dist − true| <= margin for every scored
 // row, at least k candidates have a true distance no greater than
 // kthC + margin, where kthC is the k-th smallest candidate dot-form
 // distance — and they all reach the same heap as any other candidate
@@ -46,10 +35,8 @@ constexpr size_t kBlockRowSlab = 4096;
 // therefore provably cannot make the final top k, no matter what the
 // heap held at partition entry; without this stage an entry-time gate
 // alone refines the entire first partition of every query (empty
-// heap → infinite threshold). The threshold is a pure function of the
-// candidate distances, so the solo and block scans shrink identical
-// survivor sets. NaN distances are kept — they must reach the exact
-// re-check — and sit out of the order statistic.
+// heap → infinite threshold). NaN distances are kept — they must reach
+// the exact re-check — and sit out of the order statistic.
 void SelfGateCandidates(size_t k, double margin,
                         std::vector<uint32_t>* ridx,
                         std::vector<double>* cand,
@@ -398,8 +385,7 @@ IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
 }
 
 void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
-                                     const Partition& part,
-                                     size_t row_begin, size_t row_end,
+                                     const Partition& part, size_t start,
                                      const uint32_t* ssd,
                                      const CoarsePrep& prep,
                                      BoundedTopK* top,
@@ -409,14 +395,11 @@ void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
   // in-box budget, prune iff scale·√D − q_res − err > t_rem, i.e.
   // D > T. The 1e-9 relative inflation dominates every ε-level
   // rounding in computing T itself (the slack terms already cover the
-  // kernel-evaluated quantities' accumulation error). The threshold
-  // cache resets per call, but T is a pure function of (worst,
-  // partition scalars), so splitting a partition's rows across calls
-  // (the query-block path scans in row slabs) changes no decision.
+  // kernel-evaluated quantities' accumulation error).
   const double s = part.quant_scale;
   double last_worst = -1.0;
   double threshold = -1.0;
-  for (size_t j = row_begin; j < row_end; ++j) {
+  for (size_t j = start; j < part.size(); ++j) {
     const double worst = top->worst();
     if (worst != last_worst) {
       last_worst = worst;
@@ -429,7 +412,7 @@ void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
         threshold = std::numeric_limits<double>::infinity();
       }
     }
-    if (static_cast<double>(ssd[j - row_begin]) > threshold) {
+    if (static_cast<double>(ssd[j - start]) > threshold) {
       ++stats->coarse_pruned;
       continue;
     }
@@ -484,8 +467,8 @@ void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
                           rows - start, dim, scratch->ssd.data());
   }
   stats->coarse_computations += rows - start;
-  SelectCoarse(query, dim, part, start, rows, scratch->ssd.data(), prep,
-               top, stats);
+  SelectCoarse(query, dim, part, start, scratch->ssd.data(), prep, top,
+               stats);
 }
 
 void IndexPartitionSet::RefinePush(const double* query, size_t dim,
@@ -583,11 +566,9 @@ void IndexPartitionSet::ScanExact(const std::vector<double>& query,
       // error, §15.2) and reported hits stay bit-identical to the f64
       // tier's. Freezing the gate makes the survivor set independent of
       // push order, which lets the refine run as one blocked gather
-      // kernel call here and in the query-block scan — with identical
-      // survivor sets (and so identical f32_refined counts) in both;
-      // the §16.3 self-gate then shrinks the survivors using the
-      // partition's own k-th smallest score, which recovers the
-      // evolving gate's refine economy (the entry gate alone refines
+      // kernel call; the §15.6 self-gate then shrinks the survivors
+      // using the partition's own k-th smallest score, which recovers
+      // the evolving gate's refine economy (the entry gate alone refines
       // the whole first partition of every query). A NaN fp32 score
       // compares false against both thresholds and falls through to
       // the double re-check, which is always safe.
@@ -637,7 +618,7 @@ void IndexPartitionSet::ScanExact(const std::vector<double>& query,
 
 void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
                                    double q_sq, BoundedTopK* top,
-                                   double* bound,
+                                   double* bound, Scratch* scratch,
                                    IndexQueryStats* stats) const {
   const size_t dim = query.size();
   IndexQueryStats& local = *stats;
@@ -657,402 +638,48 @@ void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
   // quantity here is a pure function of the partition that owns the
   // rows, so scanning the same partitions split across sets (shards)
   // pushes the same estimates and raises the same bound.
-  std::vector<double> qclamp(dim), decoded(dim), dist;
-  std::vector<uint8_t> qcodes(dim), qpacked;
-  std::vector<uint32_t> ssd;
+  scratch->ssd.resize(max_partition_size_);
+  scratch->dist.resize(max_partition_size_);
   for (size_t pi = 0; pi < partitions_.size(); ++pi) {
     const Partition& part = partitions_[pi];
     const size_t rows = part.size();
     ++local.partitions_visited;
     if (part.quantized() && part.quant_scale > 0.0) {
       const double s = part.quant_scale;
-      const double levels = part.quant_levels();
-      for (size_t j = 0; j < dim; ++j) {
-        const double lo = part.quant_offsets[j];
-        const double hi = lo + levels * s;
-        qclamp[j] = std::clamp(query[j], lo, hi);
-      }
-      const double out_sq =
-          SquaredL2Dispatched(query.data(), qclamp.data(), dim);
-      QuantizeQuery(qclamp.data(), dim, part.quant_offsets.data(), s,
-                    qcodes.data(), static_cast<uint32_t>(levels));
-      DequantizeRow(qcodes.data(), dim, part.quant_offsets.data(), s,
-                    decoded.data());
-      const double q_res_sq =
-          SquaredL2Dispatched(qclamp.data(), decoded.data(), dim);
-      const double slack = QuantScanSlack(
-          dim, q_sq, std::max(part.max_norm_sq, part.quant_box_sq));
-      const double q_res = std::sqrt(q_res_sq + slack);
-      const double err = std::sqrt(part.quant_err_sq);
-      const double out = std::sqrt(out_sq);
-      ssd.resize(rows);
+      const CoarsePrep prep =
+          PrepCoarse(query.data(), q_sq, dim, part, scratch);
+      const double out = std::sqrt(prep.out_sq);
       if (part.quant_bits == 4) {
-        qpacked.resize(part.code_stride(dim));
-        PackNibbleRows(qcodes.data(), 1, dim, qpacked.data());
-        Quantized4SsdOneToMany(qpacked.data(), part.quant_codes.data(),
-                               rows, dim, ssd.data());
+        scratch->qpacked.resize(part.code_stride(dim));
+        PackNibbleRows(scratch->qcodes.data(), 1, dim,
+                       scratch->qpacked.data());
+        Quantized4SsdOneToMany(scratch->qpacked.data(),
+                               part.quant_codes.data(), rows, dim,
+                               scratch->ssd.data());
       } else {
-        QuantizedSsdOneToMany(qcodes.data(), part.quant_codes.data(), rows,
-                              dim, ssd.data());
+        QuantizedSsdOneToMany(scratch->qcodes.data(), part.quant_codes.data(),
+                              rows, dim, scratch->ssd.data());
       }
       local.coarse_computations += rows;
       for (size_t j = 0; j < rows; ++j) {
         const double est =
-            out + s * std::sqrt(static_cast<double>(ssd[j]));
+            out + s * std::sqrt(static_cast<double>(scratch->ssd[j]));
         top->Push(est, part.record_indices[j]);
       }
-      *bound = std::max(*bound, out + q_res + err);
+      *bound = std::max(*bound, out + prep.q_res + prep.err);
     } else {
       // Small/unquantized partition: dot-form scan, no exact re-check.
-      dist.resize(rows);
       SquaredL2DotOneToMany(query.data(), q_sq, part.block.data(),
-                            part.norms_sq.data(), rows, dim, dist.data());
+                            part.norms_sq.data(), rows, dim,
+                            scratch->dist.data());
       local.distance_computations += rows;
       const double margin =
           DotFormErrorBound(dim, q_sq, part.max_norm_sq);
       for (size_t j = 0; j < rows; ++j) {
-        top->Push(std::sqrt(std::max(0.0, dist[j])),
+        top->Push(std::sqrt(std::max(0.0, scratch->dist[j])),
                   part.record_indices[j]);
       }
       *bound = std::max(*bound, std::sqrt(margin));
-    }
-  }
-}
-
-void IndexPartitionSet::ScanExactBlock(const double* queries,
-                                       const double* query_sqs,
-                                       size_t num_queries, size_t dim,
-                                       BoundedTopK* tops,
-                                       BlockScratch* bs,
-                                       IndexQueryStats* stats) const {
-  const size_t p = partitions_.size();
-  const size_t b = num_queries;
-  if (p == 0 || b == 0) return;
-  IndexQueryStats& local = *stats;
-
-  // Reference pass for the whole block: one blocked many-to-many call
-  // instead of b one-to-many calls; per-pair bits are identical by the
-  // kernel contract, so each query's visit order matches ScanExact's.
-  bs->ref_sq.resize(b * p);
-  SquaredL2ManyToMany(queries, b, references_.RowPtr(0), p, dim,
-                      bs->ref_sq.data(), p);
-  local.distance_computations += b * p;
-  bs->order.resize(b * p);
-  for (size_t q = 0; q < b; ++q) {
-    auto* ord = bs->order.data() + q * p;
-    for (size_t i = 0; i < p; ++i) ord[i] = {bs->ref_sq[q * p + i], i};
-    std::sort(ord, ord + p);
-  }
-  bs->cursor.assign(b, 0);
-  bs->active.assign(b, 1);
-  bs->solo.dist.resize(max_partition_size_);
-  // fp32 query mirrors are refilled lazily per call, exactly like the
-  // per-query path's scratch (the block scratch is reused across the
-  // blocks of a batch chunk).
-  bs->qf32_ready.assign(b, 0);
-  bs->query_f32.resize(b * dim);
-  bs->q_sq_f32.resize(b);
-  if (bs->group_ridx.size() < b) bs->group_ridx.resize(b);
-  if (bs->group_cand.size() < b) bs->group_cand.resize(b);
-
-  // Lockstep rounds (DESIGN.md §16.1): each round, every still-active
-  // query walks its own partition order — applying the same
-  // triangle-inequality prune as ScanExact against its own current
-  // k-th best — until it either selects one partition to visit or
-  // exhausts the order. The round's visits are then grouped by
-  // partition so one many-to-many kernel call per tier serves every
-  // query visiting that partition. Because a query's prune decisions
-  // and pushes depend only on its own heap, and that heap sees exactly
-  // the ScanExact sequence of partition visits and row pushes, every
-  // query's hits and stat contributions are bit-identical to scanning
-  // it alone — at any block size and group composition.
-  const double inf = std::numeric_limits<double>::infinity();
-  while (true) {
-    bs->visits.clear();
-    for (size_t q = 0; q < b; ++q) {
-      if (!bs->active[q]) continue;
-      BoundedTopK* top = &tops[q];
-      bool selected = false;
-      while (bs->cursor[q] < p) {
-        const auto& step = bs->order[q * p + bs->cursor[q]];
-        const double ref_sq_dist = step.first;
-        const size_t pi = step.second;
-        const double kth = top->worst();
-        if (kth < inf) {
-          const Partition& part = partitions_[pi];
-          const double gap = ref_sq_dist - part.radius_sq - kth;
-          if (gap > 0.0 && gap * gap > 4.0 * part.radius_sq * kth) {
-            ++local.partitions_pruned;
-            ++bs->cursor[q];
-            continue;
-          }
-        }
-        ++local.partitions_visited;
-        bs->visits.emplace_back(pi, q);
-        ++bs->cursor[q];
-        selected = true;
-        break;
-      }
-      if (!selected) bs->active[q] = 0;
-    }
-    if (bs->visits.empty()) break;
-    // Visits were produced in ascending q; regroup as (partition, q)
-    // runs. The grouping order is irrelevant to results (queries have
-    // independent heaps) but kept deterministic anyway.
-    std::sort(bs->visits.begin(), bs->visits.end());
-    size_t v0 = 0;
-    while (v0 < bs->visits.size()) {
-      const size_t pi = bs->visits[v0].first;
-      size_t v1 = v0;
-      while (v1 < bs->visits.size() && bs->visits[v1].first == pi) ++v1;
-      const Partition& part = partitions_[pi];
-      const size_t rows = part.size();
-      if (part.quantized()) {
-        // Coarse tier. A query whose heap is not yet full at entry
-        // needs the seed loop, whose pushes interleave with its own
-        // integer scan — run the per-query visit for those (at most
-        // the block's first visited partitions); full-heap queries
-        // share one blocked integer scan over all rows and then run
-        // the same evolving-threshold decision loop on their own ssd
-        // rows.
-        bs->group_members.clear();
-        for (size_t v = v0; v < v1; ++v) {
-          const size_t q = bs->visits[v].second;
-          if (!tops[q].full()) {
-            VisitCoarse(queries + q * dim, query_sqs[q], dim, part,
-                        &tops[q], &bs->solo, &local);
-          } else {
-            bs->group_members.push_back(q);
-          }
-        }
-        const size_t g = bs->group_members.size();
-        if (g > 0) {
-          const size_t stride = part.code_stride(dim);
-          bs->group_qcodes.resize(g * stride);
-          bs->group_prep.resize(g);
-          for (size_t m = 0; m < g; ++m) {
-            const size_t q = bs->group_members[m];
-            bs->group_prep[m] = PrepCoarse(queries + q * dim,
-                                           query_sqs[q], dim, part,
-                                           &bs->solo);
-            if (part.quant_bits == 4) {
-              PackNibbleRows(bs->solo.qcodes.data(), 1, dim,
-                             bs->group_qcodes.data() + m * stride);
-            } else {
-              std::memcpy(bs->group_qcodes.data() + m * stride,
-                          bs->solo.qcodes.data(), dim);
-            }
-            local.coarse_computations += rows;
-          }
-          bs->group_ssd.resize(g * kBlockRowSlab);
-          for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-            const size_t slab = std::min(rows - r0, kBlockRowSlab);
-            if (part.quant_bits == 4) {
-              Quantized4SsdManyToMany(
-                  bs->group_qcodes.data(), g,
-                  part.quant_codes.data() + r0 * stride, slab, dim,
-                  bs->group_ssd.data(), kBlockRowSlab);
-            } else {
-              QuantizedSsdManyToMany(
-                  bs->group_qcodes.data(), g,
-                  part.quant_codes.data() + r0 * dim, slab, dim,
-                  bs->group_ssd.data(), kBlockRowSlab);
-            }
-            for (size_t m = 0; m < g; ++m) {
-              const size_t q = bs->group_members[m];
-              SelectCoarse(queries + q * dim, dim, part, r0, r0 + slab,
-                           bs->group_ssd.data() + m * kBlockRowSlab,
-                           bs->group_prep[m], &tops[q], &local);
-            }
-          }
-        }
-        v0 = v1;
-        continue;
-      }
-      // Uncoded partitions. The fp32 norm gate is per query, so a
-      // mirrored partition's group can split between the fp32 and f64
-      // tiers. An f64 member scores the partition's tiles on its own
-      // right away (a ~45-row partition's tiles stay in L1 across the
-      // group) and pushes exactly what ScanExact pushes; the members'
-      // heaps are independent, so running it before the fp32 members
-      // changes nothing.
-      bs->group_members.clear();
-      for (size_t v = v0; v < v1; ++v) {
-        const size_t q = bs->visits[v].second;
-        if (part.mirrored() &&
-            query_sqs[q] + part.max_norm_sq < kF32TierNormGate) {
-          bs->group_members.push_back(q);
-        } else {
-          PushTiled(queries + q * dim, dim, part, bs->solo.dist.data(),
-                    &tops[q]);
-          local.distance_computations += rows;
-        }
-      }
-      const size_t g32 = bs->group_members.size();
-      if (g32 > 0) {
-        // fp32 tier: frozen entry gates (captured per member before
-        // any of the group's pushes — each member's heap is untouched
-        // by the others, so this equals ScanExact's entry state),
-        // survivors collected per member across row slabs, shrunk by
-        // the §16.3 self-gate (a pure function of the candidate
-        // distances, so the set matches ScanExact's exactly), then
-        // one blocked gather refine per member.
-        bs->group_qf32.resize(g32 * dim);
-        bs->group_qsq32.resize(g32);
-        bs->group_margin.resize(g32);
-        bs->group_worst.resize(g32);
-        bs->group_full.resize(g32);
-        for (size_t m = 0; m < g32; ++m) {
-          const size_t q = bs->group_members[m];
-          if (!bs->qf32_ready[q]) {
-            float* qf = bs->query_f32.data() + q * dim;
-            const double* qd = queries + q * dim;
-            for (size_t j = 0; j < dim; ++j) {
-              qf[j] = static_cast<float>(qd[j]);
-            }
-            bs->q_sq_f32[q] = SquaredNormF32(qf, dim);
-            bs->qf32_ready[q] = 1;
-          }
-          std::memcpy(bs->group_qf32.data() + m * dim,
-                      bs->query_f32.data() + q * dim,
-                      dim * sizeof(float));
-          bs->group_qsq32[m] = bs->q_sq_f32[q];
-          bs->group_margin[m] = Float32DotFormErrorBound(
-              dim, query_sqs[q], part.max_norm_sq, part.mirror_max_abs);
-          bs->group_full[m] = tops[q].full() ? 1 : 0;
-          bs->group_worst[m] = tops[q].worst();
-          bs->group_ridx[m].clear();
-          bs->group_cand[m].clear();
-        }
-        bs->group_dist32.resize(g32 * kBlockRowSlab);
-        for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-          const size_t slab = std::min(rows - r0, kBlockRowSlab);
-          SquaredL2DotF32ManyToMany(
-              bs->group_qf32.data(), bs->group_qsq32.data(), g32,
-              part.block_f32.data() + r0 * dim,
-              part.norms_f32.data() + r0, slab, dim,
-              bs->group_dist32.data(), kBlockRowSlab);
-          for (size_t m = 0; m < g32; ++m) {
-            const float* row = bs->group_dist32.data() + m * kBlockRowSlab;
-            for (size_t j = 0; j < slab; ++j) {
-              const double dj = static_cast<double>(row[j]);
-              if (bs->group_full[m] &&
-                  dj > bs->group_worst[m] + bs->group_margin[m]) {
-                continue;
-              }
-              bs->group_ridx[m].push_back(
-                  static_cast<uint32_t>(r0 + j));
-              bs->group_cand[m].push_back(dj);
-            }
-          }
-        }
-        for (size_t m = 0; m < g32; ++m) {
-          const size_t q = bs->group_members[m];
-          SelfGateCandidates(tops[q].k(), bs->group_margin[m],
-                             &bs->group_ridx[m], &bs->group_cand[m],
-                             &bs->solo.cand_sort);
-          local.f32_scans += rows;
-          local.f32_refined += bs->group_ridx[m].size();
-          local.distance_computations += bs->group_ridx[m].size();
-          RefinePush(queries + q * dim, dim, part, bs->group_ridx[m],
-                     &bs->solo.rdist, &tops[q]);
-        }
-      }
-      v0 = v1;
-    }
-  }
-}
-
-void IndexPartitionSet::ScanCoarseBlock(const double* queries,
-                                        const double* query_sqs,
-                                        size_t num_queries, size_t dim,
-                                        BoundedTopK* tops, double* bounds,
-                                        BlockScratch* bs,
-                                        IndexQueryStats* stats) const {
-  const size_t b = num_queries;
-  if (b == 0) return;
-  IndexQueryStats& local = *stats;
-  // The coarse scan has no cross-row decision state (every row of
-  // every partition is scored and pushed unconditionally), so blocking
-  // is pure kernel grouping: per partition, prep each query once, run
-  // the blocked integer (or dot-form) scan over row slabs, and push
-  // each query's estimates in row order — value-for-value what
-  // ScanCoarse pushes, so hits, bounds, and stats match it exactly.
-  for (size_t pi = 0; pi < partitions_.size(); ++pi) {
-    const Partition& part = partitions_[pi];
-    const size_t rows = part.size();
-    local.partitions_visited += b;
-    if (part.quantized() && part.quant_scale > 0.0) {
-      const double s = part.quant_scale;
-      const size_t stride = part.code_stride(dim);
-      bs->group_qcodes.resize(b * stride);
-      bs->group_prep.resize(b);
-      for (size_t q = 0; q < b; ++q) {
-        bs->group_prep[q] = PrepCoarse(queries + q * dim, query_sqs[q],
-                                       dim, part, &bs->solo);
-        if (part.quant_bits == 4) {
-          PackNibbleRows(bs->solo.qcodes.data(), 1, dim,
-                         bs->group_qcodes.data() + q * stride);
-        } else {
-          std::memcpy(bs->group_qcodes.data() + q * stride,
-                      bs->solo.qcodes.data(), dim);
-        }
-      }
-      bs->group_ssd.resize(b * kBlockRowSlab);
-      for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-        const size_t slab = std::min(rows - r0, kBlockRowSlab);
-        if (part.quant_bits == 4) {
-          Quantized4SsdManyToMany(bs->group_qcodes.data(), b,
-                                  part.quant_codes.data() + r0 * stride,
-                                  slab, dim, bs->group_ssd.data(),
-                                  kBlockRowSlab);
-        } else {
-          QuantizedSsdManyToMany(bs->group_qcodes.data(), b,
-                                 part.quant_codes.data() + r0 * dim,
-                                 slab, dim, bs->group_ssd.data(),
-                                 kBlockRowSlab);
-        }
-        for (size_t q = 0; q < b; ++q) {
-          const double out = std::sqrt(bs->group_prep[q].out_sq);
-          const uint32_t* row = bs->group_ssd.data() + q * kBlockRowSlab;
-          for (size_t j = 0; j < slab; ++j) {
-            const double est =
-                out + s * std::sqrt(static_cast<double>(row[j]));
-            tops[q].Push(est, part.record_indices[r0 + j]);
-          }
-        }
-      }
-      for (size_t q = 0; q < b; ++q) {
-        const CoarsePrep& prep = bs->group_prep[q];
-        bounds[q] = std::max(
-            bounds[q], std::sqrt(prep.out_sq) + prep.q_res + prep.err);
-        local.coarse_computations += rows;
-      }
-    } else {
-      // Small/unquantized partition: blocked dot-form scan, no exact
-      // re-check. The block's queries are already packed row-major, so
-      // the kernel consumes them directly.
-      bs->group_dist.resize(b * kBlockRowSlab);
-      for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-        const size_t slab = std::min(rows - r0, kBlockRowSlab);
-        SquaredL2DotManyToMany(queries, query_sqs, b,
-                               part.block.data() + r0 * dim,
-                               part.norms_sq.data() + r0, slab, dim,
-                               bs->group_dist.data(), kBlockRowSlab);
-        for (size_t q = 0; q < b; ++q) {
-          const double* row = bs->group_dist.data() + q * kBlockRowSlab;
-          for (size_t j = 0; j < slab; ++j) {
-            tops[q].Push(std::sqrt(std::max(0.0, row[j])),
-                         part.record_indices[r0 + j]);
-          }
-        }
-      }
-      for (size_t q = 0; q < b; ++q) {
-        const double margin =
-            DotFormErrorBound(dim, query_sqs[q], part.max_norm_sq);
-        bounds[q] = std::max(bounds[q], std::sqrt(margin));
-        local.distance_computations += rows;
-      }
     }
   }
 }
@@ -1106,13 +733,6 @@ Status FeatureIndex::Rebuild() {
   return Status::OK();
 }
 
-Result<std::vector<QueryHit>> FeatureIndex::NearestNeighbors(
-    const std::vector<double>& query, size_t k,
-    IndexQueryStats* stats) const {
-  Scratch scratch;
-  return NearestNeighborsImpl(query, k, stats, &scratch);
-}
-
 Status FeatureIndex::ValidateQuery(const std::vector<double>& query,
                                    size_t k) const {
   if (database_ == nullptr || set_.num_partitions() == 0) {
@@ -1138,21 +758,57 @@ Status FeatureIndex::ValidateQuery(const std::vector<double>& query,
   return Status::OK();
 }
 
-Result<std::vector<QueryHit>> FeatureIndex::NearestNeighborsImpl(
-    const std::vector<double>& query, size_t k, IndexQueryStats* stats,
-    Scratch* scratch) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  IndexQueryStats local;
+Status FeatureIndex::ValidateBatch(
+    const std::vector<std::vector<double>>& queries, size_t k) const {
+  for (size_t q = 0; q < queries.size(); ++q) {
+    Status st = ValidateQuery(queries[q], k);
+    if (!st.ok()) {
+      return st.WithContext("while answering batch query " +
+                            std::to_string(q));
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<QueryHit> FeatureIndex::ExactHits(
+    const std::vector<double>& query, size_t k, Scratch* scratch,
+    IndexQueryStats* stats) const {
   const double q_sq = SquaredNorm(query.data(), query.size());
   BoundedTopK& top = scratch->top;
   top.Reset(std::min(k, database_->size()));
-  set_.ScanExact(query, q_sq, &top, scratch, &local);
+  set_.ScanExact(query, q_sq, &top, scratch, stats);
   top.ExtractSorted(&scratch->entries);
   std::vector<QueryHit> out(scratch->entries.size());
-  for (size_t i = 0; i < scratch->entries.size(); ++i) {
+  for (size_t i = 0; i < out.size(); ++i) {
     out[i].record_index = scratch->entries[i].second;
     out[i].distance = std::sqrt(scratch->entries[i].first);
   }
+  return out;
+}
+
+std::vector<QueryHit> FeatureIndex::CoarseHits(
+    const std::vector<double>& query, size_t k, double* bound,
+    Scratch* scratch, IndexQueryStats* stats) const {
+  const double q_sq = SquaredNorm(query.data(), query.size());
+  BoundedTopK& top = scratch->top;
+  top.Reset(std::min(k, database_->size()));
+  set_.ScanCoarse(query, q_sq, &top, bound, scratch, stats);
+  top.ExtractSorted(&scratch->entries);
+  std::vector<QueryHit> out(scratch->entries.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].record_index = scratch->entries[i].second;
+    out[i].distance = scratch->entries[i].first;  // already distance space
+  }
+  return out;
+}
+
+Result<std::vector<QueryHit>> FeatureIndex::NearestNeighbors(
+    const std::vector<double>& query, size_t k,
+    IndexQueryStats* stats) const {
+  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
+  Scratch scratch;
+  IndexQueryStats local;
+  std::vector<QueryHit> out = ExactHits(query, k, &scratch, &local);
   if (stats != nullptr) *stats = local;
   return out;
 }
@@ -1161,18 +817,11 @@ Result<std::vector<QueryHit>> FeatureIndex::CoarseNearestNeighbors(
     const std::vector<double>& query, size_t k, double* error_bound,
     IndexQueryStats* stats) const {
   MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
+  Scratch scratch;
   IndexQueryStats local;
-  const double q_sq = SquaredNorm(query.data(), query.size());
   double bound = 0.0;
-  BoundedTopK top(std::min(k, database_->size()));
-  set_.ScanCoarse(query, q_sq, &top, &bound, &local);
-  std::vector<TopKEntry> entries;
-  top.ExtractSorted(&entries);
-  std::vector<QueryHit> out(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out[i].record_index = entries[i].second;
-    out[i].distance = entries[i].first;  // already in distance space
-  }
+  std::vector<QueryHit> out =
+      CoarseHits(query, k, &bound, &scratch, &local);
   if (error_bound != nullptr) *error_bound = bound;
   if (stats != nullptr) *stats = local;
   return out;
@@ -1190,6 +839,36 @@ void AccumulateStats(const IndexQueryStats& from, IndexQueryStats* into) {
   into->f32_refined += from.f32_refined;
 }
 
+// The batch entry points' shared loop: runs scan(q, scratch, chunk_stats)
+// for every query inside ParallelFor, with one scratch and one stats
+// slot per chunk, then combines the stats in ascending chunk order —
+// the fixed-order combine every parallel reduction uses (DESIGN.md
+// §8.1), so the total is identical at any thread count.
+template <typename Scan>
+Status ScanBatch(size_t num_queries, const ParallelOptions& parallel,
+                 IndexQueryStats* stats, const Scan& scan) {
+  std::vector<IndexQueryStats> per_chunk(
+      ParallelNumChunks(num_queries, parallel.grain));
+  MOCEMG_RETURN_NOT_OK(ParallelFor(
+      num_queries,
+      [&](size_t begin, size_t end, size_t chunk) -> Status {
+        IndexPartitionSet::Scratch scratch;
+        for (size_t q = begin; q < end; ++q) {
+          scan(q, &scratch, &per_chunk[chunk]);
+        }
+        return Status::OK();
+      },
+      parallel));
+  if (stats != nullptr) {
+    IndexQueryStats total;
+    for (const IndexQueryStats& chunk : per_chunk) {
+      AccumulateStats(chunk, &total);
+    }
+    *stats = total;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::vector<std::vector<QueryHit>>>
@@ -1197,85 +876,14 @@ FeatureIndex::BatchNearestNeighbors(
     const std::vector<std::vector<double>>& queries, size_t k,
     IndexQueryStats* stats,
     const ParallelOptions* parallel_override) const {
+  MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
   std::vector<std::vector<QueryHit>> results(queries.size());
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = IndexQueryStats{};
-    return results;
-  }
-  // Validate up front, so an invalid query is reported identically at
-  // every thread count and block size (the lowest offending query
-  // index wins, matching the per-query path's ascending order).
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status st = ValidateQuery(queries[q], k);
-    if (!st.ok()) {
-      return st.WithContext("while answering batch query " +
-                            std::to_string(q));
-    }
-  }
-  const ParallelOptions& parallel =
-      parallel_override != nullptr ? *parallel_override
-                                   : options_.parallel;
-  const size_t dim = database_->feature_dimension();
-  const size_t heap_k = std::min(k, database_->size());
-  // The batch is cut into fixed consecutive query blocks — a pure
-  // function of (query count, query_block), independent of the thread
-  // chunking — and each block runs the lockstep many-to-many scan.
-  size_t qb = options_.query_block != 0 ? options_.query_block
-                                        : kDefaultQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, queries.size()));
-  const size_t num_blocks = (queries.size() + qb - 1) / qb;
-  // Threads chunk over blocks (grain 1: one block already bundles qb
-  // queries of work). Stats are accumulated per chunk (scratch is also
-  // per chunk) and combined in ascending chunk order afterwards — the
-  // same fixed-order combine contract as every other parallel
-  // reduction (DESIGN.md §8.1); block totals are integer sums, so the
-  // grouping cannot change the result.
-  ParallelOptions block_parallel = parallel;
-  block_parallel.grain = 1;
-  const size_t num_chunks = ParallelNumChunks(num_blocks, 1);
-  std::vector<IndexQueryStats> per_chunk(
-      stats != nullptr ? num_chunks : 0);
-  Status st = ParallelFor(
-      num_blocks,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
-        IndexQueryStats chunk_stats;
-        for (size_t blk = begin; blk < end; ++blk) {
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, queries.size() - q0);
-          bs.queries.resize(bq * dim);
-          bs.query_sqs.resize(bq);
-          for (size_t i = 0; i < bq; ++i) {
-            std::memcpy(bs.queries.data() + i * dim,
-                        queries[q0 + i].data(), dim * sizeof(double));
-            bs.query_sqs[i] = SquaredNorm(queries[q0 + i].data(), dim);
-            tops[i].Reset(heap_k);
-          }
-          set_.ScanExactBlock(bs.queries.data(), bs.query_sqs.data(), bq,
-                              dim, tops.data(), &bs, &chunk_stats);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&bs.solo.entries);
-            std::vector<QueryHit>& out = results[q0 + i];
-            out.resize(bs.solo.entries.size());
-            for (size_t h = 0; h < out.size(); ++h) {
-              out[h].record_index = bs.solo.entries[h].second;
-              out[h].distance = std::sqrt(bs.solo.entries[h].first);
-            }
-          }
-        }
-        if (stats != nullptr) per_chunk[chunk] = chunk_stats;
-        return Status::OK();
-      },
-      block_parallel);
-  MOCEMG_RETURN_NOT_OK(st);
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      AccumulateStats(per_chunk[chunk], &total);
-    }
-    *stats = total;
-  }
+  MOCEMG_RETURN_NOT_OK(ScanBatch(
+      queries.size(),
+      parallel_override != nullptr ? *parallel_override : options_.parallel,
+      stats, [&](size_t q, Scratch* scratch, IndexQueryStats* chunk_stats) {
+        results[q] = ExactHits(queries[q], k, scratch, chunk_stats);
+      }));
   return results;
 }
 
@@ -1284,81 +892,16 @@ FeatureIndex::BatchCoarseNearestNeighbors(
     const std::vector<std::vector<double>>& queries, size_t k,
     std::vector<double>* error_bounds, IndexQueryStats* stats,
     const ParallelOptions* parallel_override) const {
+  MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
   std::vector<std::vector<QueryHit>> results(queries.size());
-  if (error_bounds != nullptr) {
-    error_bounds->assign(queries.size(), 0.0);
-  }
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = IndexQueryStats{};
-    return results;
-  }
-  // Same preconditions (and messages) as CoarseNearestNeighbors, with
-  // the batch-query context the exact batch path adds.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status st = ValidateQuery(queries[q], k);
-    if (!st.ok()) {
-      return st.WithContext("while answering batch query " +
-                            std::to_string(q));
-    }
-  }
-  const ParallelOptions& parallel =
-      parallel_override != nullptr ? *parallel_override
-                                   : options_.parallel;
-  const size_t dim = database_->feature_dimension();
-  const size_t heap_k = std::min(k, database_->size());
-  size_t qb = options_.query_block != 0 ? options_.query_block
-                                        : kDefaultQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, queries.size()));
-  const size_t num_blocks = (queries.size() + qb - 1) / qb;
-  ParallelOptions block_parallel = parallel;
-  block_parallel.grain = 1;
-  const size_t num_chunks = ParallelNumChunks(num_blocks, 1);
-  std::vector<IndexQueryStats> per_chunk(
-      stats != nullptr ? num_chunks : 0);
   std::vector<double> bounds(queries.size(), 0.0);
-  Status st = ParallelFor(
-      num_blocks,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
-        IndexQueryStats chunk_stats;
-        for (size_t blk = begin; blk < end; ++blk) {
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, queries.size() - q0);
-          bs.queries.resize(bq * dim);
-          bs.query_sqs.resize(bq);
-          for (size_t i = 0; i < bq; ++i) {
-            std::memcpy(bs.queries.data() + i * dim,
-                        queries[q0 + i].data(), dim * sizeof(double));
-            bs.query_sqs[i] = SquaredNorm(queries[q0 + i].data(), dim);
-            tops[i].Reset(heap_k);
-          }
-          set_.ScanCoarseBlock(bs.queries.data(), bs.query_sqs.data(), bq,
-                               dim, tops.data(), bounds.data() + q0, &bs,
-                               &chunk_stats);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&bs.solo.entries);
-            std::vector<QueryHit>& out = results[q0 + i];
-            out.resize(bs.solo.entries.size());
-            for (size_t h = 0; h < out.size(); ++h) {
-              out[h].record_index = bs.solo.entries[h].second;
-              // Coarse estimates are already in distance space.
-              out[h].distance = bs.solo.entries[h].first;
-            }
-          }
-        }
-        if (stats != nullptr) per_chunk[chunk] = chunk_stats;
-        return Status::OK();
-      },
-      block_parallel);
-  MOCEMG_RETURN_NOT_OK(st);
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      AccumulateStats(per_chunk[chunk], &total);
-    }
-    *stats = total;
-  }
+  MOCEMG_RETURN_NOT_OK(ScanBatch(
+      queries.size(),
+      parallel_override != nullptr ? *parallel_override : options_.parallel,
+      stats, [&](size_t q, Scratch* scratch, IndexQueryStats* chunk_stats) {
+        results[q] =
+            CoarseHits(queries[q], k, &bounds[q], scratch, chunk_stats);
+      }));
   if (error_bounds != nullptr) *error_bounds = std::move(bounds);
   return results;
 }

@@ -112,12 +112,6 @@ struct FeatureIndexOptions {
   /// RefreshPartition see the concrete choice, not kDefault. Results
   /// are bit-identical at either precision; only bandwidth changes.
   ExactPrecision exact_precision = ExactPrecision::kDefault;
-  /// Queries per block for the batch entry points' query-block scan
-  /// (BatchNearestNeighbors / BatchCoarseNearestNeighbors); 0 = auto
-  /// (currently 32). Pure query-time knob: every block size yields
-  /// bit-identical hits and stats (DESIGN.md §16), so it is not
-  /// serialized into snapshots — a reloaded index uses the default.
-  size_t query_block = 0;
   /// Parallelism for Rebuild's per-partition packing pass and for
   /// BatchNearestNeighbors. Queries are read-only over the built index,
   /// so results are bit-identical at any thread count.
@@ -242,86 +236,11 @@ class IndexPartitionSet {
     std::vector<float> dist_f32;  ///< fp32 dot-form scan buffer
     std::vector<uint32_t> ridx;   ///< fp32 refine-survivor row indices
     std::vector<double> cand;     ///< survivors' fp32 dot-form distances
-    std::vector<double> cand_sort;///< order-statistic buffer (§16.3)
+    std::vector<double> cand_sort;///< order-statistic buffer (§15.6)
     std::vector<double> rdist;    ///< gathered exact refine distances
     BoundedTopK top;
     std::vector<TopKEntry> entries;
   };
-
-  /// Per-(query, partition) scalars of the coarse tier's provable
-  /// prune, produced by the shared prep pass (clamp, encode, residual
-  /// measurement) so the per-query and query-block paths compute them
-  /// through literally the same code.
-  struct CoarsePrep {
-    double out_sq = 0.0;  ///< certified out-of-box energy ‖q − q'‖²
-    double q_res = 0.0;   ///< √(‖q' − q̃‖² + slack)
-    double err = 0.0;     ///< √quant_err_sq (build-side inflated)
-    double slack = 0.0;   ///< §11.2 float slack for this (q, partition)
-  };
-
-  /// Per-query-block scratch for the blocked scans (DESIGN.md §16),
-  /// reused across the blocks of a batch chunk. Group buffers hold one
-  /// partition-visit group's kernel inputs/outputs; per-query state
-  /// (fp32 mirrors, survivor lists) spans the whole block.
-  struct BlockScratch {
-    std::vector<double> queries;    ///< block queries packed row-major
-    std::vector<double> query_sqs;  ///< their squared norms
-    std::vector<double> ref_sq;     ///< B × p reference distances
-    std::vector<std::pair<double, size_t>> order;  ///< B visit orders
-    std::vector<size_t> cursor;     ///< per-query position in its order
-    std::vector<uint8_t> active;    ///< per-query not-finished flag
-    /// One round's (partition, query) visit selections.
-    std::vector<std::pair<size_t, size_t>> visits;
-    /// The current visit group's coded or fp32-tier member queries.
-    std::vector<size_t> group_members;
-    /// Group-shared kernel inputs/outputs (one partition, g queries).
-    std::vector<double> group_dist;     ///< g × slab coarse dot-form scores
-    std::vector<float> group_qf32;      ///< gathered fp32 queries
-    std::vector<float> group_qsq32;
-    std::vector<float> group_dist32;
-    std::vector<uint8_t> group_qcodes;  ///< g coded queries (row-major)
-    std::vector<uint32_t> group_ssd;    ///< g × slab integer distances
-    std::vector<CoarsePrep> group_prep;
-    std::vector<double> group_worst;    ///< per-member entry-time k-th
-    std::vector<double> group_margin;
-    std::vector<uint8_t> group_full;
-    /// Per-member fp32 refine-survivor lists (absolute row indices) and
-    /// their dot-form distances (the §16.3 self-gate's inputs).
-    std::vector<std::vector<uint32_t>> group_ridx;
-    std::vector<std::vector<double>> group_cand;
-    /// Per-query fp32 query mirrors, filled lazily on the query's
-    /// first f32-tier visit (exactly like the per-query path).
-    std::vector<float> query_f32;       ///< B × dim
-    std::vector<float> q_sq_f32;
-    std::vector<uint8_t> qf32_ready;
-    /// Per-visit scalar scratch (coarse prep buffers, exact distances,
-    /// refine gather, heap extraction) shared with the per-query
-    /// path's code.
-    Scratch solo;
-  };
-
-  /// \brief Query-block exact scan: `num_queries` packed row-major
-  /// queries (with their squared norms) advance through the partition
-  /// order in lockstep rounds; each round's visits are grouped by
-  /// partition so one blocked many-to-many kernel call serves every
-  /// query visiting that partition (DESIGN.md §16). Each query's
-  /// decision chain (visit order, prunes, pushes, stat counts) is
-  /// self-contained, so its hits and stats are bit-identical to
-  /// ScanExact on that query alone — at any block size. `tops[q]` must
-  /// be Reset by the caller; stats are accumulated (+=) with the
-  /// block's totals.
-  void ScanExactBlock(const double* queries, const double* query_sqs,
-                      size_t num_queries, size_t dim, BoundedTopK* tops,
-                      BlockScratch* scratch, IndexQueryStats* stats) const;
-
-  /// \brief Query-block coarse scan; per query bit-identical to
-  /// ScanCoarse (the coarse tier has no cross-row decision state, so
-  /// blocking only groups kernel calls). `bounds[q]` is raised (max)
-  /// per query; the caller seeds each with 0.
-  void ScanCoarseBlock(const double* queries, const double* query_sqs,
-                       size_t num_queries, size_t dim, BoundedTopK* tops,
-                       double* bounds, BlockScratch* scratch,
-                       IndexQueryStats* stats) const;
 
   /// \brief Packs the given partitions from the database's current
   /// packed features: per-partition radius, SoA block, squared norms,
@@ -354,7 +273,7 @@ class IndexPartitionSet {
   /// (max) to cover every estimate pushed here; the caller seeds it
   /// with 0 and takes the max across sets. Stats are accumulated (+=).
   void ScanCoarse(const std::vector<double>& query, double q_sq,
-                  BoundedTopK* top, double* bound,
+                  BoundedTopK* top, double* bound, Scratch* scratch,
                   IndexQueryStats* stats) const;
 
   /// \brief True when *every* partition in the set provably contains
@@ -391,25 +310,32 @@ class IndexPartitionSet {
   /// Recomputes num_rows_ / max_partition_size_ after (re)packing.
   void RefreshDerived();
 
-  // Shared per-(query, partition) building blocks of the exact scan —
-  // the per-query and query-block paths call the same functions, which
-  // is how the bit-identity between them is kept by construction.
+  // Per-(query, partition) building blocks of the scans.
+
+  /// Per-(query, partition) scalars of the coarse tier's provable
+  /// prune, produced by the prep pass (clamp, encode, residual
+  /// measurement) that the exact scan's coded visits and the
+  /// degraded-mode coarse scan share.
+  struct CoarsePrep {
+    double out_sq = 0.0;  ///< certified out-of-box energy ‖q − q'‖²
+    double q_res = 0.0;   ///< √(‖q' − q̃‖² + slack)
+    double err = 0.0;     ///< √quant_err_sq (build-side inflated)
+    double slack = 0.0;   ///< §11.2 float slack for this (q, partition)
+  };
 
   /// Clamp + encode + residual measurement for the coarse tier; leaves
   /// the coded query in scratch->qcodes (unpacked, one byte per dim).
   CoarsePrep PrepCoarse(const double* query, double q_sq, size_t dim,
                         const Partition& part, Scratch* scratch) const;
   /// The coarse tier's evolving-threshold decision loop over rows
-  /// [row_begin, row_end); ssd[j − row_begin] is row j's integer
-  /// distance. Survivors are exact-evaluated and pushed.
+  /// [start, size()); ssd[j − start] is row j's integer distance.
+  /// Survivors are exact-evaluated and pushed.
   void SelectCoarse(const double* query, size_t dim, const Partition& part,
-                    size_t row_begin, size_t row_end, const uint32_t* ssd,
+                    size_t start, const uint32_t* ssd,
                     const CoarsePrep& prep, BoundedTopK* top,
                     IndexQueryStats* stats) const;
   /// One full coarse-tier partition visit for one query (seed + prep +
-  /// integer scan + SelectCoarse) — the per-query path's quantized
-  /// branch, also used by the block path for queries whose heap is not
-  /// yet full at partition entry.
+  /// integer scan + SelectCoarse) — the exact scan's quantized branch.
   void VisitCoarse(const double* query, double q_sq, size_t dim,
                    const Partition& part, BoundedTopK* top,
                    Scratch* scratch, IndexQueryStats* stats) const;
@@ -463,12 +389,12 @@ class FeatureIndex {
       const std::vector<double>& query, size_t k,
       IndexQueryStats* stats = nullptr) const;
 
-  /// \brief kNN for a batch of queries, processed as query blocks of
-  /// options().query_block queries (0 = auto) through the blocked
-  /// many-to-many scan (DESIGN.md §16) and parallelized over blocks.
-  /// Element i equals NearestNeighbors(queries[i], k) exactly — hits
-  /// *and* per-query stat contributions are bit-identical to the
-  /// per-query path at any block size. `stats`, when given, is
+  /// \brief kNN for a batch of queries: the per-query scan of
+  /// NearestNeighbors, parallelized over queries with one scratch per
+  /// chunk. Element i equals NearestNeighbors(queries[i], k) exactly,
+  /// hits and stat contributions alike. Every query is validated
+  /// before any is scanned, so an invalid batch fails with the lowest
+  /// offending slot in the error context. `stats`, when given, is
   /// accumulated per chunk and combined in ascending chunk order, so
   /// it (like the hits) is identical at every thread count.
   /// `parallel_override`, when non-null, replaces the build options'
@@ -501,11 +427,11 @@ class FeatureIndex {
       double* error_bound = nullptr,
       IndexQueryStats* stats = nullptr) const;
 
-  /// \brief Degraded-mode kNN for a batch of queries through the
-  /// query-block coarse scan. Element i (and error_bounds[i], when
-  /// given) equals CoarseNearestNeighbors(queries[i], k) exactly at
-  /// any block size and thread count; stats follow the same fixed
-  /// ascending-chunk combine as BatchNearestNeighbors.
+  /// \brief Degraded-mode kNN for a batch of queries, run like
+  /// BatchNearestNeighbors over the per-query coarse scan. Element i
+  /// (and error_bounds[i], when given) equals
+  /// CoarseNearestNeighbors(queries[i], k) exactly at any thread count;
+  /// validation and the stats combine match BatchNearestNeighbors.
   Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       std::vector<double>* error_bounds = nullptr,
@@ -533,17 +459,26 @@ class FeatureIndex {
   friend class IndexSnapshotCodec;
 
   using Scratch = IndexPartitionSet::Scratch;
-  using BlockScratch = IndexPartitionSet::BlockScratch;
 
   /// The exact path's preconditions (built, fresh epoch, dimension,
   /// k >= 1, finite query) with its exact status messages — shared by
   /// the per-query and batch entry points so an invalid query fails
   /// identically through either.
   Status ValidateQuery(const std::vector<double>& query, size_t k) const;
+  /// ValidateQuery over a batch, in slot order; the first failure gets
+  /// its slot in the error context.
+  Status ValidateBatch(const std::vector<std::vector<double>>& queries,
+                       size_t k) const;
 
-  Result<std::vector<QueryHit>> NearestNeighborsImpl(
-      const std::vector<double>& query, size_t k, IndexQueryStats* stats,
-      Scratch* scratch) const;
+  /// The exact and coarse scans of one validated query. Stats are
+  /// accumulated (+=); the coarse scan also raises `*bound`.
+  std::vector<QueryHit> ExactHits(const std::vector<double>& query,
+                                  size_t k, Scratch* scratch,
+                                  IndexQueryStats* stats) const;
+  std::vector<QueryHit> CoarseHits(const std::vector<double>& query,
+                                   size_t k, double* bound,
+                                   Scratch* scratch,
+                                   IndexQueryStats* stats) const;
 
   const MotionDatabase* database_ = nullptr;
   FeatureIndexOptions options_;

@@ -535,10 +535,9 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
   if (nu > 0 && eval_status.ok() && f->degraded) {
     // Degraded mode: answer from the coarse tier alone. The unique
     // evaluations are grouped by k (std::map: deterministic order) and
-    // each group drains through ONE blocked coarse scan — the same
-    // query-block engine as the exact path (DESIGN.md §16), which is
-    // per-query bit-identical to CoarseNearestNeighbors, so every
-    // answer and error bound matches the former per-query loop.
+    // each group drains through ONE BatchCoarseNearestNeighbors call,
+    // which runs the per-query coarse scan, so every answer and error
+    // bound equals CoarseNearestNeighbors on that query.
     std::map<size_t, std::vector<size_t>> by_k;
     for (size_t u = 0; u < nu; ++u) {
       by_k[f->batch[f->uniq[u]].k].push_back(u);

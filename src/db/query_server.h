@@ -56,11 +56,10 @@
 ///    waiting requests at batch formation (after the expiry sweep,
 ///    before extraction) reaches `degrade_watermark`, the batch's
 ///    cache misses are answered from the index's int8 coarse tier
-///    alone, grouped by k and drained through the blocked coarse scan
-///    ((Sharded)FeatureIndex::BatchCoarseNearestNeighbors, DESIGN.md
-///    §16) — roughly an order of magnitude less full-precision work
-///    per query, one many-to-many kernel pass per group instead of a
-///    per-query loop — tagged `degraded=true`
+///    alone, grouped by k and drained through one batch coarse scan
+///    per group ((Sharded)FeatureIndex::BatchCoarseNearestNeighbors) —
+///    roughly an order of magnitude less full-precision work per
+///    query — tagged `degraded=true`
 ///    with a certified error bound on every distance. The trigger is a
 ///    pure function of queue state, so a replayed request sequence
 ///    degrades identically at any thread count. Degraded results are
@@ -195,8 +194,8 @@ struct QueryServerStats {
   /// counts batches of exactly one request, bucket b >= 1 counts
   /// batches of (2^(b-1), 2^b] requests. Sized to the highest
   /// occupied bucket + 1 (empty until the first batch commits).
-  /// Together with `batches` this shows how well micro-batching is
-  /// amortizing the blocked many-to-many scan (DESIGN.md §16).
+  /// Together with `batches` this shows how many requests share one
+  /// batch call into the index.
   std::vector<uint64_t> batch_size_hist;
   /// Most requests ever waiting at once (updated at admission).
   uint64_t queue_high_water = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -13,11 +12,6 @@
 
 namespace mocemg {
 namespace {
-
-// Auto query-block size for the sharded batch grid — matches the
-// single-index default (feature_index.cc) so a 1-shard sharded index
-// forms literally the same blocks as FeatureIndex.
-constexpr size_t kDefaultShardQueryBlock = 32;
 
 void AccumulateShardStats(const IndexQueryStats& from,
                           IndexQueryStats* into) {
@@ -201,54 +195,36 @@ ShardedFeatureIndex::BatchNearestNeighbors(
   const size_t num_shards = shards_.size();
   const size_t nq = queries.size();
   const size_t kk = std::min(k, database_->size());
-  const size_t dim = database_->feature_dimension();
   const ParallelOptions& parallel =
       parallel_override != nullptr ? *parallel_override
                                    : options_.index.parallel;
-  // Scatter: one task per (query-block × shard) cell. The batch is cut
-  // into fixed consecutive query blocks — a pure function of (query
-  // count, query_block), independent of the thread chunking — and each
-  // cell runs one shard's lockstep block scan into per-query heaps.
-  // Every cell writes only its own (query, shard) list slots, so the
-  // grid parallelizes freely; the per-query gather below runs in fixed
+  // Scatter: one task per (query × shard) cell, cell = q·S + shard,
+  // each running one shard's per-query scan into its own heap. Every
+  // cell writes only its own (query, shard) list slot, so the grid
+  // parallelizes freely; the per-query gather below runs in fixed
   // shard order, keeping results and stats thread-invariant.
-  size_t qb = options_.index.query_block != 0 ? options_.index.query_block
-                                              : kDefaultShardQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, std::max<size_t>(nq, 1)));
-  const size_t num_blocks = (nq + qb - 1) / qb;
-  const size_t cells = num_blocks * num_shards;
-  std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
+  const size_t cells = nq * num_shards;
+  std::vector<std::vector<TopKEntry>> lists(cells);
   std::vector<IndexQueryStats> cell_stats(cells);
-  std::vector<double> packed(nq * dim);
   std::vector<double> q_sq(nq);
   for (size_t q = 0; q < nq; ++q) {
-    std::memcpy(packed.data() + q * dim, queries[q].data(),
-                dim * sizeof(double));
     q_sq[q] = SquaredNorm(queries[q].data(), queries[q].size());
   }
-  ParallelOptions cell_parallel = parallel;
-  cell_parallel.grain = 1;
   Status st = ParallelFor(
       cells,
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-        IndexPartitionSet::BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
+        IndexPartitionSet::Scratch scratch;
         for (size_t cell = begin; cell < end; ++cell) {
-          const size_t blk = cell / num_shards;
-          const size_t s = cell % num_shards;
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, nq - q0);
-          for (size_t i = 0; i < bq; ++i) tops[i].Reset(kk);
-          shards_[s].ScanExactBlock(packed.data() + q0 * dim,
-                                    q_sq.data() + q0, bq, dim, tops.data(),
-                                    &bs, &cell_stats[cell]);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&lists[(q0 + i) * num_shards + s]);
-          }
+          const size_t q = cell / num_shards;
+          scratch.top.Reset(kk);
+          shards_[cell % num_shards].ScanExact(queries[q], q_sq[q],
+                                               &scratch.top, &scratch,
+                                               &cell_stats[cell]);
+          scratch.top.ExtractSorted(&lists[cell]);
         }
         return Status::OK();
       },
-      cell_parallel);
+      parallel);
   MOCEMG_RETURN_NOT_OK(st);
   // Gather: merge each query's shard lists in shard order.
   std::vector<std::vector<QueryHit>> results(nq);
@@ -268,9 +244,8 @@ ShardedFeatureIndex::BatchNearestNeighbors(
       results[q][i].distance = std::sqrt(entries[i].first);
     }
   }
-  // Stats fold in fixed (block, shard) cell order — identical at any
-  // thread count, and (all counters being integer sums of per-query
-  // contributions) identical to the per-query fold at any block size.
+  // Stats fold in fixed (query, shard) cell order — identical at any
+  // thread count.
   if (stats != nullptr || per_shard != nullptr) {
     IndexQueryStats total;
     std::vector<IndexQueryStats> by_shard(num_shards);
@@ -300,53 +275,35 @@ ShardedFeatureIndex::BatchCoarseNearestNeighbors(
   const size_t num_shards = shards_.size();
   const size_t nq = queries.size();
   const size_t kk = std::min(k, database_->size());
-  const size_t dim = database_->feature_dimension();
   const ParallelOptions& parallel =
       parallel_override != nullptr ? *parallel_override
                                    : options_.index.parallel;
-  size_t qb = options_.index.query_block != 0 ? options_.index.query_block
-                                              : kDefaultShardQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, std::max<size_t>(nq, 1)));
-  const size_t num_blocks = (nq + qb - 1) / qb;
-  const size_t cells = num_blocks * num_shards;
-  std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
+  // The same (query × shard) grid as BatchNearestNeighbors; each cell
+  // also keeps its shard's certified bound, which the gather maxes
+  // across shards per query, exactly like the per-query scatter-gather.
+  const size_t cells = nq * num_shards;
+  std::vector<std::vector<TopKEntry>> lists(cells);
   std::vector<IndexQueryStats> cell_stats(cells);
-  // Per-(query, shard) certified bounds, shard-major so each cell's
-  // query-block slice is contiguous; the per-query bound maxes across
-  // shards afterwards, exactly like the per-query scatter-gather.
-  std::vector<double> shard_bounds(num_shards * nq, 0.0);
-  std::vector<double> packed(nq * dim);
+  std::vector<double> shard_bounds(cells, 0.0);
   std::vector<double> q_sq(nq);
   for (size_t q = 0; q < nq; ++q) {
-    std::memcpy(packed.data() + q * dim, queries[q].data(),
-                dim * sizeof(double));
     q_sq[q] = SquaredNorm(queries[q].data(), queries[q].size());
   }
-  ParallelOptions cell_parallel = parallel;
-  cell_parallel.grain = 1;
   Status st = ParallelFor(
       cells,
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-        IndexPartitionSet::BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
+        IndexPartitionSet::Scratch scratch;
         for (size_t cell = begin; cell < end; ++cell) {
-          const size_t blk = cell / num_shards;
-          const size_t s = cell % num_shards;
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, nq - q0);
-          for (size_t i = 0; i < bq; ++i) tops[i].Reset(kk);
-          shards_[s].ScanCoarseBlock(packed.data() + q0 * dim,
-                                     q_sq.data() + q0, bq, dim,
-                                     tops.data(),
-                                     shard_bounds.data() + s * nq + q0,
-                                     &bs, &cell_stats[cell]);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&lists[(q0 + i) * num_shards + s]);
-          }
+          const size_t q = cell / num_shards;
+          scratch.top.Reset(kk);
+          shards_[cell % num_shards].ScanCoarse(
+              queries[q], q_sq[q], &scratch.top, &shard_bounds[cell],
+              &scratch, &cell_stats[cell]);
+          scratch.top.ExtractSorted(&lists[cell]);
         }
         return Status::OK();
       },
-      cell_parallel);
+      parallel);
   MOCEMG_RETURN_NOT_OK(st);
   std::vector<std::vector<QueryHit>> results(nq);
   if (error_bounds != nullptr) error_bounds->assign(nq, 0.0);
@@ -368,7 +325,7 @@ ShardedFeatureIndex::BatchCoarseNearestNeighbors(
     if (error_bounds != nullptr) {
       double bound = 0.0;
       for (size_t s = 0; s < num_shards; ++s) {
-        bound = std::max(bound, shard_bounds[s * nq + q]);
+        bound = std::max(bound, shard_bounds[q * num_shards + s]);
       }
       (*error_bounds)[q] = bound;
     }
@@ -398,14 +355,14 @@ Result<std::vector<QueryHit>> ShardedFeatureIndex::CoarseNearestNeighbors(
   // The coarse scan has no cross-shard pruning (every row is scored),
   // so the per-shard bound maxes to exactly the single-set bound.
   double bound = 0.0;
-  BoundedTopK top;
+  IndexPartitionSet::Scratch scratch;
   for (size_t s = 0; s < num_shards; ++s) {
-    top.Reset(kk);
+    scratch.top.Reset(kk);
     double shard_bound = 0.0;
-    shards_[s].ScanCoarse(query, q_sq, &top, &shard_bound,
-                          &shard_stats[s]);
+    shards_[s].ScanCoarse(query, q_sq, &scratch.top, &shard_bound,
+                          &scratch, &shard_stats[s]);
     bound = std::max(bound, shard_bound);
-    top.ExtractSorted(&lists[s]);
+    scratch.top.ExtractSorted(&lists[s]);
   }
   BoundedTopK merged(kk);
   MergeSortedTopK(lists, &merged);

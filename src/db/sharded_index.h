@@ -94,14 +94,11 @@ class ShardedFeatureIndex {
       IndexQueryStats* stats = nullptr,
       std::vector<IndexQueryStats>* per_shard = nullptr) const;
 
-  /// \brief Batch kNN parallelized over the (query-block × shard) task
-  /// grid: the batch is cut into fixed consecutive query blocks of
-  /// options().index.query_block queries (0 = auto) and each cell runs
-  /// one shard's lockstep many-to-many block scan (DESIGN.md §16).
-  /// Cells of different blocks/shards overlap freely, and the
-  /// per-shard lists are merged per query in fixed shard order, so
-  /// results and stats are identical at every thread count and block
-  /// size. Element i equals NearestNeighbors(queries[i], k) exactly.
+  /// \brief Batch kNN parallelized over the (query × shard) task grid:
+  /// each cell runs one shard's per-query scan. Cells overlap freely,
+  /// and the per-shard lists are merged per query in fixed shard order,
+  /// so results and stats are identical at every thread count. Element
+  /// i equals NearestNeighbors(queries[i], k) exactly.
   Result<std::vector<std::vector<QueryHit>>> BatchNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       IndexQueryStats* stats = nullptr,
@@ -119,10 +116,10 @@ class ShardedFeatureIndex {
       std::vector<IndexQueryStats>* per_shard = nullptr) const;
 
   /// \brief Degraded-mode kNN for a batch of queries over the same
-  /// (query-block × shard) grid as BatchNearestNeighbors, using the
-  /// blocked coarse scan. Element i (and error_bounds[i]) equals
-  /// CoarseNearestNeighbors(queries[i], k) exactly at any shard count,
-  /// thread count, and block size.
+  /// (query × shard) grid as BatchNearestNeighbors, using the coarse
+  /// scan. Element i (and error_bounds[i]) equals
+  /// CoarseNearestNeighbors(queries[i], k) exactly at any shard count
+  /// and thread count.
   Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       std::vector<double>* error_bounds = nullptr,

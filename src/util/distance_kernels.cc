@@ -27,10 +27,6 @@ double SquaredL2Dispatched(const double* x, const double* y, size_t d) {
   return internal::ActiveKernelOps().squared_l2_pair(x, y, d);
 }
 
-double DotProductDispatched(const double* x, const double* y, size_t d) {
-  return internal::ActiveKernelOps().dot_pair(x, y, d);
-}
-
 void SquaredL2OneToMany(const double* query, const double* block,
                         size_t rows, size_t d, double* out) {
   internal::ActiveKernelOps().l2_one_to_many(query, block, rows, d, out);
@@ -56,15 +52,6 @@ void SquaredL2ManyToMany(const double* queries, size_t num_queries,
   }
 }
 
-void SquaredL2DotManyToMany(const double* queries, const double* query_sqs,
-                            size_t num_queries, const double* block,
-                            const double* norms_sq, size_t rows, size_t d,
-                            double* out, size_t out_stride) {
-  internal::ActiveKernelOps().l2dot_many_to_many(
-      queries, query_sqs, num_queries, block, norms_sq, rows, d, out,
-      out_stride);
-}
-
 void SquaredL2Gather(const double* query, const double* block,
                      const uint32_t* row_indices, size_t n, size_t d,
                      double* out) {
@@ -88,17 +75,6 @@ void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
   internal::ActiveKernelOps().l2_tiles(query, tiles, rows, d, out);
 }
 
-void RowSquaredNorms(const double* block, size_t rows, size_t d,
-                     double* out) {
-  internal::ActiveKernelOps().row_norms(block, rows, d, out);
-}
-
-void SquaredL2F32OneToMany(const float* query, const float* block,
-                           size_t rows, size_t d, float* out) {
-  internal::ActiveKernelOps().l2_f32_one_to_many(query, block, rows, d,
-                                                 out);
-}
-
 void SquaredL2DotF32OneToMany(const float* query, float query_sq,
                               const float* block, const float* norms_sq,
                               size_t rows, size_t d, float* out) {
@@ -106,42 +82,9 @@ void SquaredL2DotF32OneToMany(const float* query, float query_sq,
       query, query_sq, block, norms_sq, rows, d, out);
 }
 
-void SquaredL2DotF32F64OneToMany(const float* query, double query_sq,
-                                 const float* block,
-                                 const double* norms_sq, size_t rows,
-                                 size_t d, double* out) {
-  internal::ActiveKernelOps().l2dot_f32d_one_to_many(
-      query, query_sq, block, norms_sq, rows, d, out);
-}
-
 void RowSquaredNormsF32(const float* block, size_t rows, size_t d,
                         float* out) {
   internal::ActiveKernelOps().row_norms_f32(block, rows, d, out);
-}
-
-void SquaredL2F32ManyToMany(const float* queries, size_t num_queries,
-                            const float* block, size_t rows, size_t d,
-                            float* out, size_t out_stride) {
-  // Same L2-resident row tiling as the double kernel; fp32 rows are
-  // half the bytes, so a tile covers twice the rows per cache line.
-  const KernelOps& ops = internal::ActiveKernelOps();
-  for (size_t r0 = 0; r0 < rows; r0 += kRowTile) {
-    const size_t tile = std::min(rows - r0, kRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      ops.l2_f32_one_to_many(queries + q * d, block + r0 * d, tile, d,
-                             out + q * out_stride + r0);
-    }
-  }
-}
-
-void SquaredL2DotF32ManyToMany(const float* queries,
-                               const float* query_sqs, size_t num_queries,
-                               const float* block, const float* norms_sq,
-                               size_t rows, size_t d, float* out,
-                               size_t out_stride) {
-  internal::ActiveKernelOps().l2dot_f32_many_to_many(
-      queries, query_sqs, num_queries, block, norms_sq, rows, d, out,
-      out_stride);
 }
 
 double DotFormErrorBound(size_t d, double query_sq, double max_norm_sq) {

@@ -105,38 +105,9 @@ inline double SquaredNorm(const double* x, size_t d) {
   return DotProduct(x, x, d);
 }
 
-/// \brief fp32 squared L2 with the identical 4-lane accumulation
+/// \brief fp32 dot product with the identical 4-lane accumulation
 /// contract at float precision — the scalar reference for the float32
 /// SoA mirror kernels (the certified low-precision exact tier).
-inline float SquaredL2F32(const float* x, const float* y, size_t d) {
-  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const float d0 = x[i] - y[i];
-    const float d1 = x[i + 1] - y[i + 1];
-    const float d2 = x[i + 2] - y[i + 2];
-    const float d3 = x[i + 3] - y[i + 3];
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
-  }
-  if (i < d) {
-    const float d0 = x[i] - y[i];
-    a0 += d0 * d0;
-  }
-  if (i + 1 < d) {
-    const float d1 = x[i + 1] - y[i + 1];
-    a1 += d1 * d1;
-  }
-  if (i + 2 < d) {
-    const float d2 = x[i + 2] - y[i + 2];
-    a2 += d2 * d2;
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-/// \brief fp32 dot product, 4-lane order at float precision.
 inline float DotProductF32(const float* x, const float* y, size_t d) {
   float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
   size_t i = 0;
@@ -157,38 +128,12 @@ inline float SquaredNormF32(const float* x, size_t d) {
   return DotProductF32(x, x, d);
 }
 
-/// \brief fp64-accumulate dot product over fp32 inputs: every element
-/// is widened to double (exact) and the accumulation runs the double
-/// 4-lane contract. Isolates the f64→f32 *storage* rounding from the
-/// fp32 *accumulation* rounding — the split the float-precision error
-/// bound analysis (and its conservativeness test) relies on.
-inline double DotProductF32ToF64(const float* x, const float* y,
-                                 size_t d) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    a0 += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    a1 += static_cast<double>(x[i + 1]) * static_cast<double>(y[i + 1]);
-    a2 += static_cast<double>(x[i + 2]) * static_cast<double>(y[i + 2]);
-    a3 += static_cast<double>(x[i + 3]) * static_cast<double>(y[i + 3]);
-  }
-  if (i < d) a0 += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  if (i + 1 < d) {
-    a1 += static_cast<double>(x[i + 1]) * static_cast<double>(y[i + 1]);
-  }
-  if (i + 2 < d) {
-    a2 += static_cast<double>(x[i + 2]) * static_cast<double>(y[i + 2]);
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-/// \brief Pair kernels routed through the runtime-dispatched SIMD
+/// \brief Pair kernel routed through the runtime-dispatched SIMD
 /// backend (kernel_dispatch.h). Bit-identical to the inline reference
-/// above on every backend; use these in hot per-pair loops (re-rank,
+/// above on every backend; use it in hot per-pair loops (re-rank,
 /// residual measurement) where d is large enough to amortize the
-/// indirect call, and the inline forms everywhere else.
+/// indirect call, and the inline form everywhere else.
 double SquaredL2Dispatched(const double* x, const double* y, size_t d);
-double DotProductDispatched(const double* x, const double* y, size_t d);
 
 /// \brief out[r] = ‖query − block_row_r‖² for each of the `rows` packed
 /// row-major rows (row stride = d). Each out[r] is bit-identical to
@@ -216,18 +161,6 @@ void SquaredL2DotOneToMany(const double* query, double query_sq,
 void SquaredL2ManyToMany(const double* queries, size_t num_queries,
                          const double* block, size_t rows, size_t d,
                          double* out, size_t out_stride);
-
-/// \brief Blocked dot-form many-to-many: out[q * out_stride + r] =
-/// query_sqs[q] + norms_sq[r] − 2⟨query_q, block_row_r⟩. Each
-/// (query, row) pair is bit-identical to the corresponding
-/// `SquaredL2DotOneToMany` output on every backend — the backends tile
-/// rows for cache residency and interleave independent pairs for ILP,
-/// neither of which can change per-pair bits. Same approximation
-/// caveat as the one-to-many dot form.
-void SquaredL2DotManyToMany(const double* queries, const double* query_sqs,
-                            size_t num_queries, const double* block,
-                            const double* norms_sq, size_t rows, size_t d,
-                            double* out, size_t out_stride);
 
 /// \brief out[i] = SquaredL2(query, block + row_indices[i]*d, d) for a
 /// gathered index list — the blocked refine kernel the fp32 tier uses
@@ -260,50 +193,22 @@ void PackL2Tiles(const double* block, size_t rows, size_t d,
 void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
                     size_t d, double* out);
 
-/// \brief out[r] = ‖block_row_r‖², bit-identical to SquaredNorm per row.
-void RowSquaredNorms(const double* block, size_t rows, size_t d,
-                     double* out);
-
 /// \brief Conservative bound on |dot-form − difference-form| for one
 /// pair: 4·d·ε·(query_sq + max_norm_sq), with ε = 2⁻⁵² (see DESIGN.md
 /// §10.2). Valid for any row whose squared norm is <= max_norm_sq.
 double DotFormErrorBound(size_t d, double query_sq, double max_norm_sq);
 
-/// \brief fp32 mirror entry points, routed through the dispatched
-/// backend like their double counterparts. `SquaredL2F32OneToMany` is
-/// the difference-form scan (out[r] bit-identical to
-/// `SquaredL2F32(query, block + r*d, d)` on every backend);
-/// `SquaredL2DotF32OneToMany` is the dot-form scan
+/// \brief fp32 mirror dot-form scan, routed through the dispatched
+/// backend like its double counterpart:
 /// out[r] = (query_sq + norms_sq[r]) − 2·⟨query, row⟩ at fp32
-/// throughout; `SquaredL2DotF32F64OneToMany` is the fp64-accumulate
-/// variant over the same fp32 inputs (double norms / output).
-void SquaredL2F32OneToMany(const float* query, const float* block,
-                           size_t rows, size_t d, float* out);
+/// throughout, bit-identical on every backend.
 void SquaredL2DotF32OneToMany(const float* query, float query_sq,
                               const float* block, const float* norms_sq,
                               size_t rows, size_t d, float* out);
-void SquaredL2DotF32F64OneToMany(const float* query, double query_sq,
-                                 const float* block,
-                                 const double* norms_sq, size_t rows,
-                                 size_t d, double* out);
 
 /// \brief out[r] = SquaredNormF32 of row r (fp32 accumulation).
 void RowSquaredNormsF32(const float* block, size_t rows, size_t d,
                         float* out);
-
-/// \brief Blocked fp32 many-to-many, tiled like SquaredL2ManyToMany;
-/// per-pair bits equal SquaredL2F32 regardless of the tiling.
-void SquaredL2F32ManyToMany(const float* queries, size_t num_queries,
-                            const float* block, size_t rows, size_t d,
-                            float* out, size_t out_stride);
-
-/// \brief Blocked fp32 dot-form many-to-many; per-pair bits equal
-/// `SquaredL2DotF32OneToMany` on every backend.
-void SquaredL2DotF32ManyToMany(const float* queries,
-                               const float* query_sqs, size_t num_queries,
-                               const float* block, const float* norms_sq,
-                               size_t rows, size_t d, float* out,
-                               size_t out_stride);
 
 /// \brief Conservative bound on |fp32 dot-form scan − fp64
 /// difference-form| for one pair scanned through the float32 mirror:

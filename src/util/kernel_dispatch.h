@@ -69,22 +69,17 @@ constexpr size_t kL2TileRows = 8;
 /// non-null and honour the contracts of distance_kernels.h /
 /// quant_kernels.h; `ssd4_one_to_many` scans 4-bit nibble-packed codes
 /// (row stride ⌈d/2⌉ bytes, dim 2j in the low nibble — see
-/// quant_kernels.h). The `*_f32*` entries scan the float32 SoA mirror
-/// of the exact tier: fp32 accumulation with the same literal 4-lane
-/// order (bit-exact across backends like the double family), plus one
-/// fp64-accumulate variant (`l2dot_f32d_one_to_many`) used by the
-/// float-precision error-bound analysis and its tests.
+/// quant_kernels.h). The fp32 entries (`l2dot_f32_one_to_many`,
+/// `row_norms_f32`) scan the float32 SoA mirror of the exact tier: fp32
+/// accumulation with the same literal 4-lane order (bit-exact across
+/// backends like the double family).
 ///
-/// The `*_many_to_many` entries evaluate a whole query block against a
-/// row block, writing `out[q * out_stride + r]`. Each (query, row) pair
-/// is REQUIRED to produce the exact bits of the corresponding
-/// one-to-many entry on that pair — implementations may tile for cache
-/// residency and interleave several independent pairs to break the
-/// per-pair accumulator latency chain, but every pair keeps its own
-/// self-contained 4-lane accumulator, so loop order can never change a
-/// result. `l2_gather` evaluates `squared_l2_pair` at a gathered index
-/// list; it serves only the fp32 tier's f64 refine. Same per-pair
-/// contract.
+/// `l2_gather` evaluates `squared_l2_pair` at a gathered index list;
+/// it serves only the fp32 tier's f64 refine. Implementations may
+/// interleave several independent rows to break the per-row
+/// accumulator latency chain, but every row keeps its own
+/// self-contained 4-lane accumulator, so out[i] has the bits of
+/// `squared_l2_pair` on row `row_indices[i]`.
 ///
 /// `l2_tiles` is the exact scan of the f64 tier. It reads a partition
 /// stored as 8-row tiles, dimension-major within a tile (element (row
@@ -112,47 +107,23 @@ constexpr size_t kL2TileRows = 8;
 struct KernelOps {
   const char* name;
   double (*squared_l2_pair)(const double* x, const double* y, size_t d);
-  double (*dot_pair)(const double* x, const double* y, size_t d);
   void (*l2_one_to_many)(const double* query, const double* block,
                          size_t rows, size_t d, double* out);
   void (*l2dot_one_to_many)(const double* query, double query_sq,
                             const double* block, const double* norms_sq,
                             size_t rows, size_t d, double* out);
-  void (*row_norms)(const double* block, size_t rows, size_t d,
-                    double* out);
   void (*ssd8_one_to_many)(const uint8_t* qcodes, const uint8_t* codes,
                            size_t rows, size_t d, uint32_t* out);
   void (*ssd4_one_to_many)(const uint8_t* qpacked, const uint8_t* packed,
                            size_t rows, size_t d, uint32_t* out);
-  void (*l2_f32_one_to_many)(const float* query, const float* block,
-                             size_t rows, size_t d, float* out);
   void (*l2dot_f32_one_to_many)(const float* query, float query_sq,
                                 const float* block, const float* norms_sq,
                                 size_t rows, size_t d, float* out);
   void (*row_norms_f32)(const float* block, size_t rows, size_t d,
                         float* out);
-  void (*l2dot_f32d_one_to_many)(const float* query, double query_sq,
-                                 const float* block,
-                                 const double* norms_sq, size_t rows,
-                                 size_t d, double* out);
-  void (*l2dot_many_to_many)(const double* queries, const double* query_sqs,
-                             size_t num_queries, const double* block,
-                             const double* norms_sq, size_t rows, size_t d,
-                             double* out, size_t out_stride);
-  void (*l2dot_f32_many_to_many)(const float* queries,
-                                 const float* query_sqs, size_t num_queries,
-                                 const float* block, const float* norms_sq,
-                                 size_t rows, size_t d, float* out,
-                                 size_t out_stride);
   void (*l2_gather)(const double* query, const double* block,
                     const uint32_t* row_indices, size_t n, size_t d,
                     double* out);
-  void (*ssd8_many_to_many)(const uint8_t* qcodes, size_t num_queries,
-                            const uint8_t* codes, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride);
-  void (*ssd4_many_to_many)(const uint8_t* qpacked, size_t num_queries,
-                            const uint8_t* packed, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride);
   void (*biquad_cascade_lanes)(const double* coeffs, size_t sections,
                                double* state, double* data, size_t frames,
                                size_t lanes, bool reverse);

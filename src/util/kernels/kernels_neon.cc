@@ -17,8 +17,6 @@
 
 #include <arm_neon.h>
 
-#include <algorithm>
-
 #include "util/kernels/kernel_backend.h"
 
 namespace mocemg {
@@ -98,55 +96,21 @@ void NeonL2DotOneToMany(const double* query, double query_sq,
   }
 }
 
-void NeonRowNorms(const double* block, size_t rows, size_t d, double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double* row = block + r * d;
-    out[r] = NeonDotPair(row, row, d);
-  }
-}
-
 // ---------------------------------------------------------------------
 // float32 mirror kernels: one float32x4_t accumulator IS the scalar
 // reference's four lanes; multiply then add (never vfma), remainder
 // dims on the extracted lanes.
 
 inline float CombineTailF32(float32x4_t acc, const float* x,
-                            const float* y, size_t i, size_t d,
-                            bool squared) {
+                            const float* y, size_t i, size_t d) {
   float a0 = vgetq_lane_f32(acc, 0);
   float a1 = vgetq_lane_f32(acc, 1);
   float a2 = vgetq_lane_f32(acc, 2);
   float a3 = vgetq_lane_f32(acc, 3);
-  if (squared) {
-    if (i < d) {
-      const float d0 = x[i] - y[i];
-      a0 += d0 * d0;
-    }
-    if (i + 1 < d) {
-      const float d1 = x[i + 1] - y[i + 1];
-      a1 += d1 * d1;
-    }
-    if (i + 2 < d) {
-      const float d2 = x[i + 2] - y[i + 2];
-      a2 += d2 * d2;
-    }
-  } else {
-    if (i < d) a0 += x[i] * y[i];
-    if (i + 1 < d) a1 += x[i + 1] * y[i + 1];
-    if (i + 2 < d) a2 += x[i + 2] * y[i + 2];
-  }
+  if (i < d) a0 += x[i] * y[i];
+  if (i + 1 < d) a1 += x[i + 1] * y[i + 1];
+  if (i + 2 < d) a2 += x[i + 2] * y[i + 2];
   return (a0 + a1) + (a2 + a3);
-}
-
-inline float NeonSquaredL2PairF32(const float* x, const float* y,
-                                  size_t d) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const float32x4_t diff = vsubq_f32(vld1q_f32(x + i), vld1q_f32(y + i));
-    acc = vaddq_f32(acc, vmulq_f32(diff, diff));
-  }
-  return CombineTailF32(acc, x, y, i, d, /*squared=*/true);
 }
 
 inline float NeonDotPairF32(const float* x, const float* y, size_t d) {
@@ -155,45 +119,7 @@ inline float NeonDotPairF32(const float* x, const float* y, size_t d) {
   for (; i + 4 <= d; i += 4) {
     acc = vaddq_f32(acc, vmulq_f32(vld1q_f32(x + i), vld1q_f32(y + i)));
   }
-  return CombineTailF32(acc, x, y, i, d, /*squared=*/false);
-}
-
-// fp64-accumulate over fp32 inputs: widen each float32x4 half to
-// float64x2 (exact) and run the double kernel's acc01/acc23 shape.
-inline double NeonDotPairF32ToF64(const float* x, const float* y,
-                                  size_t d) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const float32x4_t vx = vld1q_f32(x + i);
-    const float32x4_t vy = vld1q_f32(y + i);
-    const float64x2_t x01 = vcvt_f64_f32(vget_low_f32(vx));
-    const float64x2_t y01 = vcvt_f64_f32(vget_low_f32(vy));
-    const float64x2_t x23 = vcvt_high_f64_f32(vx);
-    const float64x2_t y23 = vcvt_high_f64_f32(vy);
-    acc01 = vaddq_f64(acc01, vmulq_f64(x01, y01));
-    acc23 = vaddq_f64(acc23, vmulq_f64(x23, y23));
-  }
-  double a0 = vgetq_lane_f64(acc01, 0);
-  double a1 = vgetq_lane_f64(acc01, 1);
-  double a2 = vgetq_lane_f64(acc23, 0);
-  double a3 = vgetq_lane_f64(acc23, 1);
-  if (i < d) a0 += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  if (i + 1 < d) {
-    a1 += static_cast<double>(x[i + 1]) * static_cast<double>(y[i + 1]);
-  }
-  if (i + 2 < d) {
-    a2 += static_cast<double>(x[i + 2]) * static_cast<double>(y[i + 2]);
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-void NeonL2F32OneToMany(const float* query, const float* block,
-                        size_t rows, size_t d, float* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = NeonSquaredL2PairF32(query, block + r * d, d);
-  }
+  return CombineTailF32(acc, x, y, i, d);
 }
 
 void NeonL2DotF32OneToMany(const float* query, float query_sq,
@@ -210,15 +136,6 @@ void NeonRowNormsF32(const float* block, size_t rows, size_t d,
   for (size_t r = 0; r < rows; ++r) {
     const float* row = block + r * d;
     out[r] = NeonDotPairF32(row, row, d);
-  }
-}
-
-void NeonL2DotF32F64OneToMany(const float* query, double query_sq,
-                              const float* block, const double* norms_sq,
-                              size_t rows, size_t d, double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = query_sq + norms_sq[r] -
-             2.0 * NeonDotPairF32ToF64(query, block + r * d, d);
   }
 }
 
@@ -292,38 +209,11 @@ void NeonSsd4OneToMany(const uint8_t* qpacked, const uint8_t* packed,
 }
 
 // ---------------------------------------------------------------------
-// block (many-to-many) family: 4 independent (query, row) pairs in
-// flight per step (8 accumulator registers), sharing one query load, to
-// hide the vector-add latency the one-to-many kernels serialize on.
-// Each pair keeps the exact acc01/acc23 op sequence of the pair
-// kernels, so every pair is bit-identical to the one-to-many path; rows
-// are tiled so a streamed tile serves the whole query block.
-
-inline void NeonDot4Rows(const double* x, const double* y0,
-                         const double* y1, const double* y2,
-                         const double* y3, size_t d, double* out) {
-  float64x2_t a0_01 = vdupq_n_f64(0.0), a0_23 = vdupq_n_f64(0.0);
-  float64x2_t a1_01 = vdupq_n_f64(0.0), a1_23 = vdupq_n_f64(0.0);
-  float64x2_t a2_01 = vdupq_n_f64(0.0), a2_23 = vdupq_n_f64(0.0);
-  float64x2_t a3_01 = vdupq_n_f64(0.0), a3_23 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const float64x2_t x01 = vld1q_f64(x + i);
-    const float64x2_t x23 = vld1q_f64(x + i + 2);
-    a0_01 = vaddq_f64(a0_01, vmulq_f64(x01, vld1q_f64(y0 + i)));
-    a0_23 = vaddq_f64(a0_23, vmulq_f64(x23, vld1q_f64(y0 + i + 2)));
-    a1_01 = vaddq_f64(a1_01, vmulq_f64(x01, vld1q_f64(y1 + i)));
-    a1_23 = vaddq_f64(a1_23, vmulq_f64(x23, vld1q_f64(y1 + i + 2)));
-    a2_01 = vaddq_f64(a2_01, vmulq_f64(x01, vld1q_f64(y2 + i)));
-    a2_23 = vaddq_f64(a2_23, vmulq_f64(x23, vld1q_f64(y2 + i + 2)));
-    a3_01 = vaddq_f64(a3_01, vmulq_f64(x01, vld1q_f64(y3 + i)));
-    a3_23 = vaddq_f64(a3_23, vmulq_f64(x23, vld1q_f64(y3 + i + 2)));
-  }
-  out[0] = CombineTail(a0_01, a0_23, x, y0, i, d, /*squared=*/false);
-  out[1] = CombineTail(a1_01, a1_23, x, y1, i, d, /*squared=*/false);
-  out[2] = CombineTail(a2_01, a2_23, x, y2, i, d, /*squared=*/false);
-  out[3] = CombineTail(a3_01, a3_23, x, y3, i, d, /*squared=*/false);
-}
+// gather refine: 4 independent rows in flight per step (8 accumulator
+// registers), sharing one query load, to hide the vector-add latency
+// the one-to-many kernels serialize on. Each row keeps the exact
+// acc01/acc23 op sequence of the pair kernels, so every row is
+// bit-identical to squared_l2_pair.
 
 inline void NeonSquaredL24Rows(const double* x, const double* y0,
                                const double* y1, const double* y2,
@@ -359,85 +249,6 @@ inline void NeonSquaredL24Rows(const double* x, const double* y0,
   out[3] = CombineTail(a3_01, a3_23, x, y3, i, d, /*squared=*/true);
 }
 
-inline void NeonDotF324Rows(const float* x, const float* y0,
-                            const float* y1, const float* y2,
-                            const float* y3, size_t d, float* out) {
-  float32x4_t a0 = vdupq_n_f32(0.0f);
-  float32x4_t a1 = vdupq_n_f32(0.0f);
-  float32x4_t a2 = vdupq_n_f32(0.0f);
-  float32x4_t a3 = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const float32x4_t vx = vld1q_f32(x + i);
-    a0 = vaddq_f32(a0, vmulq_f32(vx, vld1q_f32(y0 + i)));
-    a1 = vaddq_f32(a1, vmulq_f32(vx, vld1q_f32(y1 + i)));
-    a2 = vaddq_f32(a2, vmulq_f32(vx, vld1q_f32(y2 + i)));
-    a3 = vaddq_f32(a3, vmulq_f32(vx, vld1q_f32(y3 + i)));
-  }
-  out[0] = CombineTailF32(a0, x, y0, i, d, /*squared=*/false);
-  out[1] = CombineTailF32(a1, x, y1, i, d, /*squared=*/false);
-  out[2] = CombineTailF32(a2, x, y2, i, d, /*squared=*/false);
-  out[3] = CombineTailF32(a3, x, y3, i, d, /*squared=*/false);
-}
-
-constexpr size_t kMtmRowTile = 64;
-
-void NeonL2DotManyToMany(const double* queries, const double* query_sqs,
-                         size_t num_queries, const double* block,
-                         const double* norms_sq, size_t rows, size_t d,
-                         double* out, size_t out_stride) {
-  for (size_t r0 = 0; r0 < rows; r0 += kMtmRowTile) {
-    const size_t rend = r0 + std::min(rows - r0, kMtmRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      const double* query = queries + q * d;
-      const double query_sq = query_sqs[q];
-      double* orow = out + q * out_stride;
-      size_t r = r0;
-      for (; r + 4 <= rend; r += 4) {
-        double dots[4];
-        NeonDot4Rows(query, block + r * d, block + (r + 1) * d,
-                     block + (r + 2) * d, block + (r + 3) * d, d, dots);
-        orow[r] = query_sq + norms_sq[r] - 2.0 * dots[0];
-        orow[r + 1] = query_sq + norms_sq[r + 1] - 2.0 * dots[1];
-        orow[r + 2] = query_sq + norms_sq[r + 2] - 2.0 * dots[2];
-        orow[r + 3] = query_sq + norms_sq[r + 3] - 2.0 * dots[3];
-      }
-      for (; r < rend; ++r) {
-        orow[r] = query_sq + norms_sq[r] -
-                  2.0 * NeonDotPair(query, block + r * d, d);
-      }
-    }
-  }
-}
-
-void NeonL2DotF32ManyToMany(const float* queries, const float* query_sqs,
-                            size_t num_queries, const float* block,
-                            const float* norms_sq, size_t rows, size_t d,
-                            float* out, size_t out_stride) {
-  for (size_t r0 = 0; r0 < rows; r0 += kMtmRowTile) {
-    const size_t rend = r0 + std::min(rows - r0, kMtmRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      const float* query = queries + q * d;
-      const float query_sq = query_sqs[q];
-      float* orow = out + q * out_stride;
-      size_t r = r0;
-      for (; r + 4 <= rend; r += 4) {
-        float dots[4];
-        NeonDotF324Rows(query, block + r * d, block + (r + 1) * d,
-                        block + (r + 2) * d, block + (r + 3) * d, d, dots);
-        orow[r] = query_sq + norms_sq[r] - 2.0f * dots[0];
-        orow[r + 1] = query_sq + norms_sq[r + 1] - 2.0f * dots[1];
-        orow[r + 2] = query_sq + norms_sq[r + 2] - 2.0f * dots[2];
-        orow[r + 3] = query_sq + norms_sq[r + 3] - 2.0f * dots[3];
-      }
-      for (; r < rend; ++r) {
-        orow[r] = query_sq + norms_sq[r] -
-                  2.0f * NeonDotPairF32(query, block + r * d, d);
-      }
-    }
-  }
-}
-
 void NeonL2Gather(const double* query, const double* block,
                   const uint32_t* row_indices, size_t n, size_t d,
                   double* out) {
@@ -456,56 +267,19 @@ void NeonL2Gather(const double* query, const double* block,
   }
 }
 
-// Integer sums are exact at any order; tile the one-to-many kernels so
-// a code tile streamed once serves every query in the block.
-void NeonSsd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
-                        const uint8_t* codes, size_t rows, size_t d,
-                        uint32_t* out, size_t out_stride) {
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      NeonSsd8OneToMany(qcodes + q * d, codes + r0 * d, tile, d,
-                        out + q * out_stride + r0);
-    }
-  }
-}
-
-void NeonSsd4ManyToMany(const uint8_t* qpacked, size_t num_queries,
-                        const uint8_t* packed, size_t rows, size_t d,
-                        uint32_t* out, size_t out_stride) {
-  const size_t bytes = (d + 1) / 2;
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      NeonSsd4OneToMany(qpacked + q * bytes, packed + r0 * bytes, tile, d,
-                        out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& NeonKernelOps() {
   static const KernelOps ops = {
       "neon",
       NeonSquaredL2Pair,
-      NeonDotPair,
       NeonL2OneToMany,
       NeonL2DotOneToMany,
-      NeonRowNorms,
       NeonSsd8OneToMany,
       NeonSsd4OneToMany,
-      NeonL2F32OneToMany,
       NeonL2DotF32OneToMany,
       NeonRowNormsF32,
-      NeonL2DotF32F64OneToMany,
-      NeonL2DotManyToMany,
-      NeonL2DotF32ManyToMany,
       NeonL2Gather,
-      NeonSsd8ManyToMany,
-      NeonSsd4ManyToMany,
       // No NEON lane kernel yet: the scalar reference (bit-identical by
       // definition) answers for it.
       ScalarKernelOps().biquad_cascade_lanes,

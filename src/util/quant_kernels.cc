@@ -103,21 +103,6 @@ void Quantized4SsdOneToMany(const uint8_t* qpacked, const uint8_t* packed,
                                                out);
 }
 
-void QuantizedSsdManyToMany(const uint8_t* qcodes, size_t num_queries,
-                            const uint8_t* codes, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride) {
-  internal::ActiveKernelOps().ssd8_many_to_many(qcodes, num_queries, codes,
-                                                rows, d, out, out_stride);
-}
-
-void Quantized4SsdManyToMany(const uint8_t* qpacked, size_t num_queries,
-                             const uint8_t* packed, size_t rows, size_t d,
-                             uint32_t* out, size_t out_stride) {
-  internal::ActiveKernelOps().ssd4_many_to_many(qpacked, num_queries,
-                                                packed, rows, d, out,
-                                                out_stride);
-}
-
 double QuantScanSlack(size_t d, double a_sq, double b_sq) {
   // Error budget, all terms absolute (magnitudes bounded by
   // a_sq + b_sq =: M, with the caller passing bounds that cover the

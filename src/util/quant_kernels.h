@@ -100,23 +100,6 @@ void QuantizedSsdOneToMany(const uint8_t* qcodes, const uint8_t* codes,
 void Quantized4SsdOneToMany(const uint8_t* qpacked, const uint8_t* packed,
                             size_t rows, size_t d, uint32_t* out);
 
-/// \brief Blocked 8-bit coarse scan: out[q * out_stride + r] for
-/// q < num_queries, r < rows, row-tiled so a code tile is streamed once
-/// per query batch (the integer analogue of SquaredL2ManyToMany, used
-/// by batched coarse passes and the kernel benchmarks). Each entry is
-/// bit-identical to the one-to-many scan.
-void QuantizedSsdManyToMany(const uint8_t* qcodes, size_t num_queries,
-                            const uint8_t* codes, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride);
-
-/// \brief Blocked 4-bit coarse scan over nibble-packed codes (query
-/// rows packed with stride PackedNibbleStride(d)); the nibble analogue
-/// of QuantizedSsdManyToMany, bit-identical per entry to
-/// Quantized4SsdOneToMany.
-void Quantized4SsdManyToMany(const uint8_t* qpacked, size_t num_queries,
-                             const uint8_t* packed, size_t rows, size_t d,
-                             uint32_t* out, size_t out_stride);
-
 /// \brief Absolute slack covering the floating-point error of any
 /// exact-kernel squared-distance evaluation between vectors drawn from
 /// (query, block rows, grid reconstructions):

@@ -1,6 +1,7 @@
-/// Query-block batch-scan edge cases (DESIGN.md §16): every block
-/// size, thread count, shard count, and kernel backend must yield
-/// hits, error bounds, and stats bit-identical to the per-query scan.
+/// Batch-query edge cases: the batch entry points of FeatureIndex and
+/// ShardedFeatureIndex, exact and coarse, must yield hits, error
+/// bounds, and stats bit-identical to the per-query scan at every
+/// thread count, shard count, kernel backend and exact-tier precision.
 
 #include <gtest/gtest.h>
 
@@ -70,15 +71,13 @@ struct BackendScope {
   ~BackendScope() { (void)SetKernelBackend(KernelBackend::kAuto); }
 };
 
-// Block size 1 degenerates every block to the solo path's shape;
-// query counts not divisible by the block leave a ragged tail; a
-// block larger than the batch clamps. All must be bit-identical —
-// hits AND stats — to the per-query scan, on every usable backend
-// and at both exact-tier precisions.
+// The batch must be bit-identical — hits AND stats — to the
+// per-query scan, on every usable backend and at both exact-tier
+// precisions.
 TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 41);
-  const auto queries = MakeQueries(37, kDim, 42);  // 37: prime, ragged
+  const auto queries = MakeQueries(37, kDim, 42);
   BackendScope restore;
   for (KernelBackend backend : UsableKernelBackends()) {
     ASSERT_TRUE(SetKernelBackend(backend).ok());
@@ -103,23 +102,16 @@ TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
         ref_stats.f32_scans += st.f32_scans;
         ref_stats.f32_refined += st.f32_refined;
       }
-      for (size_t block : {1, 3, 7, 32, 64}) {
-        FeatureIndexOptions bopts = opts;
-        bopts.query_block = block;
-        auto bindex = FeatureIndex::Build(&db, bopts);
-        ASSERT_TRUE(bindex.ok()) << bindex.status();
-        IndexQueryStats st;
-        auto hits = bindex->BatchNearestNeighbors(queries, 5, &st);
-        ASSERT_TRUE(hits.ok()) << hits.status();
-        ASSERT_EQ(hits->size(), queries.size());
-        for (size_t q = 0; q < queries.size(); ++q) {
-          ExpectHitsIdentical(ref[q], (*hits)[q]);
-        }
-        SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
-                     " prec=" + std::to_string(static_cast<int>(prec)) +
-                     " block=" + std::to_string(block));
-        ExpectStatsEqual(ref_stats, st);
+      IndexQueryStats st;
+      auto hits = index->BatchNearestNeighbors(queries, 5, &st);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      ASSERT_EQ(hits->size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ExpectHitsIdentical(ref[q], (*hits)[q]);
       }
+      SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
+                   " prec=" + std::to_string(static_cast<int>(prec)));
+      ExpectStatsEqual(ref_stats, st);
     }
   }
 }
@@ -143,17 +135,11 @@ TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
       ASSERT_TRUE(hits.ok()) << hits.status();
       ref[q] = std::move(*hits);
     }
-    for (size_t block : {1, 4, 32}) {
-      FeatureIndexOptions bopts = opts;
-      bopts.query_block = block;
-      auto bindex = FeatureIndex::Build(&db, bopts);
-      ASSERT_TRUE(bindex.ok()) << bindex.status();
-      auto hits = bindex->BatchNearestNeighbors(queries, k);
-      ASSERT_TRUE(hits.ok()) << hits.status();
-      for (size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(ref[q].size(), std::min(k, db.size()));
-        ExpectHitsIdentical(ref[q], (*hits)[q]);
-      }
+    auto hits = index->BatchNearestNeighbors(queries, k);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(ref[q].size(), std::min(k, db.size()));
+      ExpectHitsIdentical(ref[q], (*hits)[q]);
     }
   }
 }
@@ -187,17 +173,15 @@ TEST(QueryBlockTest, NonFiniteQueriesRejectedWithSlotContext) {
       << coarse.status();
 }
 
-// Duplicate queries sharing one block must not perturb each other:
+// Duplicate queries sharing one batch must not perturb each other:
 // every copy gets the identical answer, equal to the solo scan.
 TEST(QueryBlockTest, DuplicateQueriesInOneBlock) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(200, kDim, 71);
-  FeatureIndexOptions opts;
-  opts.query_block = 8;
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = FeatureIndex::Build(&db);
   ASSERT_TRUE(index.ok()) << index.status();
   const auto base = MakeQueries(3, kDim, 72);
-  // 8 queries, one block: [a, b, a, a, c, b, a, c].
+  // 8 queries, one batch: [a, b, a, a, c, b, a, c].
   std::vector<std::vector<double>> queries = {base[0], base[1], base[0],
                                               base[0], base[2], base[1],
                                               base[0], base[2]};
@@ -210,13 +194,13 @@ TEST(QueryBlockTest, DuplicateQueriesInOneBlock) {
   }
 }
 
-// The sharded (query-block × shard) grid: thread counts 1/2/8 and
-// shard counts 1/4 against several block sizes — hits and stats all
-// bit-identical to the per-query sharded scan.
+// The sharded (query × shard) grid: thread counts 1/2/8 and shard
+// counts 1/4 — hits and stats all bit-identical to the per-query
+// sharded scan.
 TEST(QueryBlockTest, ShardedGridBitIdenticalAcrossThreadsAndBlocks) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 81);
-  const auto queries = MakeQueries(23, kDim, 82);  // ragged vs any block
+  const auto queries = MakeQueries(23, kDim, 82);
   for (size_t shards : {1, 4}) {
     // Per-query reference through a 1-thread build.
     ShardedIndexOptions ropts;
@@ -231,21 +215,18 @@ TEST(QueryBlockTest, ShardedGridBitIdenticalAcrossThreadsAndBlocks) {
     }
     std::vector<IndexQueryStats> run_stats;
     for (size_t threads : {1, 2, 8}) {
-      for (size_t block : {1, 5, 32}) {
-        ShardedIndexOptions opts;
-        opts.num_shards = shards;
-        opts.index.parallel.max_threads = threads;
-        opts.index.query_block = block;
-        auto index = ShardedFeatureIndex::Build(&db, opts);
-        ASSERT_TRUE(index.ok()) << index.status();
-        IndexQueryStats stats;
-        auto hits = index->BatchNearestNeighbors(queries, 5, &stats);
-        ASSERT_TRUE(hits.ok()) << hits.status();
-        for (size_t q = 0; q < queries.size(); ++q) {
-          ExpectHitsIdentical(ref[q], (*hits)[q]);
-        }
-        run_stats.push_back(stats);
+      ShardedIndexOptions opts;
+      opts.num_shards = shards;
+      opts.index.parallel.max_threads = threads;
+      auto index = ShardedFeatureIndex::Build(&db, opts);
+      ASSERT_TRUE(index.ok()) << index.status();
+      IndexQueryStats stats;
+      auto hits = index->BatchNearestNeighbors(queries, 5, &stats);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ExpectHitsIdentical(ref[q], (*hits)[q]);
       }
+      run_stats.push_back(stats);
     }
     for (size_t r = 1; r < run_stats.size(); ++r) {
       ExpectStatsEqual(run_stats[0], run_stats[r]);
@@ -253,9 +234,9 @@ TEST(QueryBlockTest, ShardedGridBitIdenticalAcrossThreadsAndBlocks) {
   }
 }
 
-// The blocked coarse scan: batch answers AND certified error bounds
-// equal CoarseNearestNeighbors per query, across shard counts, thread
-// counts, and block sizes.
+// The batch coarse scan: batch answers AND certified error bounds
+// equal CoarseNearestNeighbors per query, across shard counts and
+// thread counts.
 TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 91);
@@ -276,20 +257,17 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
       ref[q] = std::move(*hits);
     }
     for (size_t threads : {1, 8}) {
-      for (size_t block : {1, 6, 32}) {
-        ShardedIndexOptions opts = ropts;
-        opts.index.parallel.max_threads = threads;
-        opts.index.query_block = block;
-        auto index = ShardedFeatureIndex::Build(&db, opts);
-        ASSERT_TRUE(index.ok()) << index.status();
-        std::vector<double> bounds;
-        auto hits = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
-        ASSERT_TRUE(hits.ok()) << hits.status();
-        ASSERT_EQ(bounds.size(), queries.size());
-        for (size_t q = 0; q < queries.size(); ++q) {
-          ExpectHitsIdentical(ref[q], (*hits)[q]);
-          EXPECT_EQ(ref_bounds[q], bounds[q]);
-        }
+      ShardedIndexOptions opts = ropts;
+      opts.index.parallel.max_threads = threads;
+      auto index = ShardedFeatureIndex::Build(&db, opts);
+      ASSERT_TRUE(index.ok()) << index.status();
+      std::vector<double> bounds;
+      auto hits = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      ASSERT_EQ(bounds.size(), queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ExpectHitsIdentical(ref[q], (*hits)[q]);
+        EXPECT_EQ(ref_bounds[q], bounds[q]);
       }
     }
   }
@@ -303,7 +281,6 @@ TEST(QueryBlockTest, SingleIndexCoarseBatchMatchesPerQuery) {
   const auto queries = MakeQueries(11, kDim, 102);
   FeatureIndexOptions opts;
   opts.quantized_min_rows = 1;
-  opts.query_block = 4;
   auto index = FeatureIndex::Build(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   std::vector<double> bounds;

@@ -125,8 +125,7 @@ void ExpectSameHits(const std::vector<QueryHit>& want,
 // close, at every dimension: each remainder of the 4-lane accumulation
 // and of 8-row groups, partitions whose sizes are not multiples of 8,
 // ties and an Inf distance. That holds for the per-query path, the
-// query-block path at several block sizes, and an index restored from
-// a snapshot. The summed visit counters are pinned as well, so a change
+// batch path, and an index restored from a snapshot. The summed visit counters are pinned as well, so a change
 // to the scan cannot move them unnoticed. The precision is pinned to f64
 // (the tier the counters describe), whatever MOCEMG_EXACT_PRECISION says.
 TEST(FeatureIndexTest, ResultsBitIdenticalToLinearScanAcrossDims) {
@@ -213,13 +212,7 @@ TEST(FeatureIndexTest, ResultsBitIdenticalToLinearScanAcrossDims) {
         EXPECT_EQ(stats.partitions_pruned, per_query.partitions_pruned)
             << where;
       };
-      for (const size_t block : {1, 7, 32, 64}) {
-        FeatureIndexOptions opts = f64;
-        opts.query_block = block;
-        auto blocked = FeatureIndex::Build(&db, opts);
-        ASSERT_TRUE(blocked.ok());
-        check_batch(*blocked, at + " block " + std::to_string(block));
-      }
+      check_batch(*index, at + " batch");
       check_batch(*restored, at + " restored");
     }
     EXPECT_EQ(sum.distance_computations, pin.distance_computations)

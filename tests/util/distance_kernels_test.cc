@@ -126,20 +126,6 @@ TEST(DistanceKernelsTest, ManyToManyMatchesPairKernelBitExactly) {
   }
 }
 
-TEST(DistanceKernelsTest, RowSquaredNormsMatchSquaredNormBitExactly) {
-  Rng rng(25);
-  for (size_t d = 1; d <= kMaxDim; ++d) {
-    const size_t rows = 1 + (d * 5) % 9;
-    const std::vector<double> block = RandomVector(rows * d, &rng);
-    std::vector<double> norms(rows);
-    RowSquaredNorms(block.data(), rows, d, norms.data());
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(norms[r], SquaredNorm(block.data() + r * d, d))
-          << "dim " << d << " row " << r;
-    }
-  }
-}
-
 TEST(DistanceKernelsTest, DotFormWithinDocumentedErrorBound) {
   Rng rng(26);
   for (size_t d = 1; d <= kMaxDim; ++d) {
@@ -147,7 +133,9 @@ TEST(DistanceKernelsTest, DotFormWithinDocumentedErrorBound) {
     const std::vector<double> q = RandomVector(d, &rng);
     const std::vector<double> block = RandomVector(rows * d, &rng);
     std::vector<double> norms(rows);
-    RowSquaredNorms(block.data(), rows, d, norms.data());
+    for (size_t r = 0; r < rows; ++r) {
+      norms[r] = SquaredNorm(block.data() + r * d, d);
+    }
     const double q_sq = SquaredNorm(q.data(), d);
     double max_norm_sq = 0.0;
     for (double n : norms) max_norm_sq = std::max(max_norm_sq, n);
@@ -299,10 +287,8 @@ TEST(DistanceKernelsTest, Float32ErrorBoundHandlesExtremes) {
 
 TEST(DistanceKernelsTest, F32ZeroDimensionIsZero) {
   const float x = 1.0f, y = 2.0f;
-  EXPECT_EQ(SquaredL2F32(&x, &y, 0), 0.0f);
   EXPECT_EQ(SquaredNormF32(&x, 0), 0.0f);
   EXPECT_EQ(DotProductF32(&x, &y, 0), 0.0f);
-  EXPECT_EQ(DotProductF32ToF64(&x, &y, 0), 0.0);
 }
 
 }  // namespace

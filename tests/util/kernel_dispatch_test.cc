@@ -113,21 +113,13 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     ASSERT_NE(ops, nullptr) << KernelBackendName(b);
     EXPECT_STREQ(ops->name, KernelBackendName(b));
     EXPECT_NE(ops->squared_l2_pair, nullptr);
-    EXPECT_NE(ops->dot_pair, nullptr);
     EXPECT_NE(ops->l2_one_to_many, nullptr);
     EXPECT_NE(ops->l2dot_one_to_many, nullptr);
-    EXPECT_NE(ops->row_norms, nullptr);
     EXPECT_NE(ops->ssd8_one_to_many, nullptr);
     EXPECT_NE(ops->ssd4_one_to_many, nullptr);
-    EXPECT_NE(ops->l2_f32_one_to_many, nullptr);
     EXPECT_NE(ops->l2dot_f32_one_to_many, nullptr);
     EXPECT_NE(ops->row_norms_f32, nullptr);
-    EXPECT_NE(ops->l2dot_f32d_one_to_many, nullptr);
-    EXPECT_NE(ops->l2dot_many_to_many, nullptr);
-    EXPECT_NE(ops->l2dot_f32_many_to_many, nullptr);
     EXPECT_NE(ops->l2_gather, nullptr);
-    EXPECT_NE(ops->ssd8_many_to_many, nullptr);
-    EXPECT_NE(ops->ssd4_many_to_many, nullptr);
     EXPECT_NE(ops->biquad_cascade_lanes, nullptr);
     EXPECT_NE(ops->l2_tiles, nullptr);
   }
@@ -177,9 +169,6 @@ TEST(KernelDispatchTest, AllUsableBackendsMatchScalarBitExactly) {
       EXPECT_TRUE(BitsEqual(ops->squared_l2_pair(q.data(), block.data(), d),
                             ref->squared_l2_pair(q.data(), block.data(), d)))
           << ops->name << " squared_l2_pair dim " << d;
-      EXPECT_TRUE(BitsEqual(ops->dot_pair(q.data(), block.data(), d),
-                            ref->dot_pair(q.data(), block.data(), d)))
-          << ops->name << " dot_pair dim " << d;
 
       std::vector<double> got(rows), want(rows);
       ops->l2_one_to_many(q.data(), block.data(), rows, d, got.data());
@@ -189,18 +178,14 @@ TEST(KernelDispatchTest, AllUsableBackendsMatchScalarBitExactly) {
             << ops->name << " l2_one_to_many dim " << d << " row " << r;
       }
 
-      std::vector<double> got_norms(rows), want_norms(rows);
-      ops->row_norms(block.data(), rows, d, got_norms.data());
-      ref->row_norms(block.data(), rows, d, want_norms.data());
+      std::vector<double> norms(rows);
       for (size_t r = 0; r < rows; ++r) {
-        EXPECT_TRUE(BitsEqual(got_norms[r], want_norms[r]))
-            << ops->name << " row_norms dim " << d << " row " << r;
+        norms[r] = SquaredNorm(block.data() + r * d, d);
       }
-
-      const double q_sq = ref->dot_pair(q.data(), q.data(), d);
-      ops->l2dot_one_to_many(q.data(), q_sq, block.data(), want_norms.data(),
+      const double q_sq = SquaredNorm(q.data(), d);
+      ops->l2dot_one_to_many(q.data(), q_sq, block.data(), norms.data(),
                              rows, d, got.data());
-      ref->l2dot_one_to_many(q.data(), q_sq, block.data(), want_norms.data(),
+      ref->l2dot_one_to_many(q.data(), q_sq, block.data(), norms.data(),
                              rows, d, want.data());
       for (size_t r = 0; r < rows; ++r) {
         EXPECT_TRUE(BitsEqual(got[r], want[r]))
@@ -229,10 +214,10 @@ TEST(KernelDispatchTest, AllUsableBackendsMatchScalarBitExactly) {
 }
 
 // The fp32 tier inherits the same contract: every usable backend's
-// fp32 ops — the fp32-accumulate scans, the row norms, and the
-// fp64-accumulate variant — reproduce scalar bit-for-bit on every dim
-// 1..67. Divergence here would break the certified refine gate, whose
-// error bound assumes one specific rounding sequence.
+// fp32 ops — the dot-form scan and the row norms — reproduce scalar
+// bit-for-bit on every dim 1..67. Divergence here would break the
+// certified refine gate, whose error bound assumes one specific
+// rounding sequence.
 TEST(KernelDispatchTest, F32OpsMatchScalarBitExactlyOnEveryBackend) {
   const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
   ASSERT_NE(ref, nullptr);
@@ -248,13 +233,6 @@ TEST(KernelDispatchTest, F32OpsMatchScalarBitExactlyOnEveryBackend) {
       for (float& x : block) x = static_cast<float>(rng.Gaussian(0.0, 3.0));
 
       std::vector<float> got(rows), want(rows);
-      ops->l2_f32_one_to_many(q.data(), block.data(), rows, d, got.data());
-      ref->l2_f32_one_to_many(q.data(), block.data(), rows, d, want.data());
-      for (size_t r = 0; r < rows; ++r) {
-        EXPECT_TRUE(BitsEqualF(got[r], want[r]))
-            << ops->name << " l2_f32_one_to_many dim " << d << " row " << r;
-      }
-
       std::vector<float> got_norms(rows), want_norms(rows);
       ops->row_norms_f32(block.data(), rows, d, got_norms.data());
       ref->row_norms_f32(block.data(), rows, d, want_norms.data());
@@ -274,29 +252,14 @@ TEST(KernelDispatchTest, F32OpsMatchScalarBitExactlyOnEveryBackend) {
             << ops->name << " l2dot_f32_one_to_many dim " << d << " row "
             << r;
       }
-
-      // The fp64-accumulate variant takes double norms and returns
-      // double distances from float inputs.
-      const std::vector<double> block64(block.begin(), block.end());
-      std::vector<double> norms64(rows), got64(rows), want64(rows);
-      ref->row_norms(block64.data(), rows, d, norms64.data());
-      const double q_sq64 = static_cast<double>(q_sq);
-      ops->l2dot_f32d_one_to_many(q.data(), q_sq64, block.data(),
-                                  norms64.data(), rows, d, got64.data());
-      ref->l2dot_f32d_one_to_many(q.data(), q_sq64, block.data(),
-                                  norms64.data(), rows, d, want64.data());
-      for (size_t r = 0; r < rows; ++r) {
-        EXPECT_TRUE(BitsEqual(got64[r], want64[r]))
-            << ops->name << " l2dot_f32d_one_to_many dim " << d << " row "
-            << r;
-      }
     }
   }
 }
 
 // fp32 specials flow identically too: a NaN or Inf element must
-// surface in the fp32 scan result on every backend, so the refine
-// gate's NaN-compares-false fallback re-checks the row in double.
+// surface in the fp32 dot-form scan as a non-finite distance on every
+// backend (NaN, or Inf when nothing cancels it), so the refine gate's
+// NaN-compares-false fallback re-checks the row in double.
 TEST(KernelDispatchTest, F32SpecialValuesPropagateOnEveryBackend) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -309,15 +272,24 @@ TEST(KernelDispatchTest, F32SpecialValuesPropagateOnEveryBackend) {
         std::vector<float> x(d), y(d);
         for (float& v : x) v = static_cast<float>(rng.Gaussian(0.0, 3.0));
         for (float& v : y) v = static_cast<float>(rng.Gaussian(0.0, 3.0));
+        float y_sq = 0.0f, x_sq = 0.0f, out = 0.0f;
+        ops->row_norms_f32(y.data(), 1, d, &y_sq);
         x[pos] = nan;
-        float out = 0.0f;
-        ops->l2_f32_one_to_many(x.data(), y.data(), 1, d, &out);
+        ops->row_norms_f32(x.data(), 1, d, &x_sq);
+        EXPECT_TRUE(std::isnan(x_sq))
+            << ops->name << " dim " << d << " nan at " << pos;
+        ops->l2dot_f32_one_to_many(x.data(), x_sq, y.data(), &y_sq, 1, d,
+                                   &out);
         EXPECT_TRUE(std::isnan(out))
             << ops->name << " dim " << d << " nan at " << pos;
         x[pos] = inf;
-        ops->l2_f32_one_to_many(x.data(), y.data(), 1, d, &out);
-        EXPECT_EQ(out, inf) << ops->name << " dim " << d << " inf at "
-                            << pos;
+        ops->row_norms_f32(x.data(), 1, d, &x_sq);
+        EXPECT_EQ(x_sq, inf) << ops->name << " dim " << d << " inf at "
+                             << pos;
+        ops->l2dot_f32_one_to_many(x.data(), x_sq, y.data(), &y_sq, 1, d,
+                                   &out);
+        EXPECT_FALSE(std::isfinite(out))
+            << ops->name << " dim " << d << " inf at " << pos;
       }
     }
   }
@@ -357,12 +329,9 @@ TEST(KernelDispatchTest, SpecialValuesPropagateOnEveryBackend) {
   }
 }
 
-// The many-to-many / gather block ops: every (query, row) pair on
-// every usable backend must produce the exact bits of the
-// corresponding one-to-many (or pair) op — the contract the blocked
-// query-block scan (DESIGN.md §16) builds its bit-identity on. The
-// out_stride exceeds `rows` so stride handling is exercised, and the
-// padding lanes must be left untouched.
+// The gather op behind the fp32 tier's refine: on every usable
+// backend each gathered row must produce the exact bits of
+// squared_l2_pair on that row, for a shuffled index list.
 TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
   Rng rng(36);
   for (KernelBackend b : UsableKernelBackends()) {
@@ -370,107 +339,21 @@ TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
     ASSERT_NE(ops, nullptr);
     for (size_t d = 1; d <= kMaxDim; d += (d < 12 ? 1 : 7)) {
       const size_t rows = 1 + (d * 7) % 13;
-      const size_t nq = 1 + (d * 3) % 6;
-      const size_t stride = rows + 3;  // force out_stride > rows
-      const std::vector<double> queries = RandomVector(nq * d, &rng);
+      const std::vector<double> query = RandomVector(d, &rng);
       const std::vector<double> block = RandomVector(rows * d, &rng);
-      std::vector<double> norms(rows), q_sqs(nq);
-      ops->row_norms(block.data(), rows, d, norms.data());
-      ops->row_norms(queries.data(), nq, d, q_sqs.data());
-
-      // f64 dot-form block vs per-query one-to-many.
-      const double pad = -7.25;
-      std::vector<double> got(nq * stride, pad), want(rows);
-      ops->l2dot_many_to_many(queries.data(), q_sqs.data(), nq, block.data(),
-                              norms.data(), rows, d, got.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->l2dot_one_to_many(queries.data() + q * d, q_sqs[q],
-                               block.data(), norms.data(), rows, d,
-                               want.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_TRUE(BitsEqual(got[q * stride + r], want[r]))
-              << ops->name << " l2dot_many_to_many dim " << d << " q " << q
-              << " row " << r;
-        }
-        for (size_t r = rows; r < stride; ++r) {
-          EXPECT_EQ(got[q * stride + r], pad)
-              << ops->name << " stride padding clobbered";
-        }
-      }
-
-      // Gather vs squared_l2_pair at a shuffled index list.
       std::vector<uint32_t> idx;
       for (size_t r = 0; r < rows; ++r) {
         if ((r * 5 + d) % 3 != 0) idx.push_back(uint32_t(rows - 1 - r));
       }
       if (idx.empty()) idx.push_back(0);
       std::vector<double> gout(idx.size());
-      ops->l2_gather(queries.data(), block.data(), idx.data(), idx.size(),
-                     d, gout.data());
+      ops->l2_gather(query.data(), block.data(), idx.data(), idx.size(), d,
+                     gout.data());
       for (size_t i = 0; i < idx.size(); ++i) {
         EXPECT_TRUE(BitsEqual(
-            gout[i], ops->squared_l2_pair(
-                         queries.data(), block.data() + idx[i] * d, d)))
+            gout[i], ops->squared_l2_pair(query.data(),
+                                          block.data() + idx[i] * d, d)))
             << ops->name << " l2_gather dim " << d << " i " << i;
-      }
-
-      // f32 dot-form block vs per-query one-to-many.
-      std::vector<float> qf(nq * d), bf(rows * d);
-      for (size_t i = 0; i < qf.size(); ++i) {
-        qf[i] = static_cast<float>(queries[i]);
-      }
-      for (size_t i = 0; i < bf.size(); ++i) {
-        bf[i] = static_cast<float>(block[i]);
-      }
-      std::vector<float> nf(rows), qsf(nq);
-      ops->row_norms_f32(bf.data(), rows, d, nf.data());
-      ops->row_norms_f32(qf.data(), nq, d, qsf.data());
-      std::vector<float> got_f(nq * stride, -7.25f), want_f(rows);
-      ops->l2dot_f32_many_to_many(qf.data(), qsf.data(), nq, bf.data(),
-                                  nf.data(), rows, d, got_f.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->l2dot_f32_one_to_many(qf.data() + q * d, qsf[q], bf.data(),
-                                   nf.data(), rows, d, want_f.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_TRUE(BitsEqualF(got_f[q * stride + r], want_f[r]))
-              << ops->name << " l2dot_f32_many_to_many dim " << d << " q "
-              << q << " row " << r;
-        }
-      }
-
-      // int8 / packed int4 block SSD vs per-query one-to-many.
-      const std::vector<uint8_t> qc = RandomCodes(nq * d, 255, &rng);
-      const std::vector<uint8_t> codes = RandomCodes(rows * d, 255, &rng);
-      std::vector<uint32_t> got_ssd(nq * stride, 0xDEADu), want_ssd(rows);
-      ops->ssd8_many_to_many(qc.data(), nq, codes.data(), rows, d,
-                             got_ssd.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->ssd8_one_to_many(qc.data() + q * d, codes.data(), rows, d,
-                              want_ssd.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_EQ(got_ssd[q * stride + r], want_ssd[r])
-              << ops->name << " ssd8_many_to_many dim " << d << " q " << q
-              << " row " << r;
-        }
-      }
-
-      const size_t nib = PackedNibbleStride(d);
-      const std::vector<uint8_t> qn = RandomCodes(nq * d, 15, &rng);
-      const std::vector<uint8_t> rn = RandomCodes(rows * d, 15, &rng);
-      std::vector<uint8_t> qp(nq * nib), rp(rows * nib);
-      PackNibbleRows(qn.data(), nq, d, qp.data());
-      PackNibbleRows(rn.data(), rows, d, rp.data());
-      std::fill(got_ssd.begin(), got_ssd.end(), 0xDEADu);
-      ops->ssd4_many_to_many(qp.data(), nq, rp.data(), rows, d,
-                             got_ssd.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->ssd4_one_to_many(qp.data() + q * nib, rp.data(), rows, d,
-                              want_ssd.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_EQ(got_ssd[q * stride + r], want_ssd[r])
-              << ops->name << " ssd4_many_to_many dim " << d << " q " << q
-              << " row " << r;
-        }
       }
     }
   }

@@ -270,32 +270,6 @@ TEST(QuantKernelsTest, PackedSsdMatchesUnpackedReference) {
   }
 }
 
-// The blocked many-to-many scan is bit-identical to running the
-// one-to-many scan per query, including when out_stride > rows.
-TEST(QuantKernelsTest, ManyToManyMatchesPerQueryScan) {
-  Rng rng(46);
-  for (size_t d : {1, 4, 7, 33}) {
-    const size_t nq = 5;
-    const size_t rows = 300;  // > the kernel's row tile
-    const size_t out_stride = rows + 3;
-    std::vector<uint8_t> qcodes(nq * d), codes(rows * d);
-    for (uint8_t& c : qcodes) c = static_cast<uint8_t>(rng.NextBelow(256));
-    for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.NextBelow(256));
-    std::vector<uint32_t> blocked(nq * out_stride, 0xdeadbeef);
-    QuantizedSsdManyToMany(qcodes.data(), nq, codes.data(), rows, d,
-                           blocked.data(), out_stride);
-    std::vector<uint32_t> single(rows);
-    for (size_t q = 0; q < nq; ++q) {
-      QuantizedSsdOneToMany(qcodes.data() + q * d, codes.data(), rows, d,
-                            single.data());
-      for (size_t r = 0; r < rows; ++r) {
-        EXPECT_EQ(blocked[q * out_stride + r], single[r])
-            << "d " << d << " query " << q << " row " << r;
-      }
-    }
-  }
-}
-
 // Certified prune-bound property at both widths: the coarse lower
 // bound scale·√ssd − ‖q − q̃‖ − err_r (all scalars slack-inflated the
 // way FeatureIndex computes it) never exceeds the true distance, so

@@ -744,11 +744,10 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for all eighteen table entries (seven f64/int ops,
-// four fp32-mirror ops, the five query-block many-to-many/gather ops,
-// exercised with out_stride > rows, the biquad lane kernel over 1..67
-// frames of 1..9 lanes, forward and reverse, and the tiled exact scan
-// over 1..19 rows) — the same
+// across dims 1..67 for all ten table entries (five f64/int ops, two
+// fp32-mirror ops, the gather refine, the biquad lane kernel over
+// 1..67 frames of 1..9 lanes, forward and reverse, and the tiled exact
+// scan over 1..19 rows) — the same
 // bit-exactness contract the unit tests enforce, exercised on the
 // actual production binary and CPU. Also reports per-op backend
 // coverage; a compiled backend with a missing (null) table entry fails
@@ -776,23 +775,13 @@ std::vector<std::pair<const char*, bool>> NamedOpPresence(
     const KernelOps* ops) {
   return {
       {"squared_l2_pair", ops->squared_l2_pair != nullptr},
-      {"dot_pair", ops->dot_pair != nullptr},
       {"l2_one_to_many", ops->l2_one_to_many != nullptr},
       {"l2dot_one_to_many", ops->l2dot_one_to_many != nullptr},
-      {"row_norms", ops->row_norms != nullptr},
       {"ssd8_one_to_many", ops->ssd8_one_to_many != nullptr},
       {"ssd4_one_to_many", ops->ssd4_one_to_many != nullptr},
-      {"l2_f32_one_to_many", ops->l2_f32_one_to_many != nullptr},
       {"l2dot_f32_one_to_many", ops->l2dot_f32_one_to_many != nullptr},
       {"row_norms_f32", ops->row_norms_f32 != nullptr},
-      {"l2dot_f32d_one_to_many",
-       ops->l2dot_f32d_one_to_many != nullptr},
-      {"l2dot_many_to_many", ops->l2dot_many_to_many != nullptr},
-      {"l2dot_f32_many_to_many",
-       ops->l2dot_f32_many_to_many != nullptr},
       {"l2_gather", ops->l2_gather != nullptr},
-      {"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
-      {"ssd4_many_to_many", ops->ssd4_many_to_many != nullptr},
       {"biquad_cascade_lanes", ops->biquad_cascade_lanes != nullptr},
       {"l2_tiles", ops->l2_tiles != nullptr},
   };
@@ -817,9 +806,10 @@ Status VerifyKernelEquivalence() {
       std::vector<double> x(d), block(rows * d), norms(rows);
       for (double& v : x) v = rng.Gaussian(0.0, 1.0);
       for (double& v : block) v = rng.Gaussian(0.0, 1.0);
-      ref->row_norms(block.data(), rows, d, norms.data());
-      const double x_sq = ref->squared_l2_pair(
-          x.data(), std::vector<double>(d, 0.0).data(), d);
+      for (size_t r = 0; r < rows; ++r) {
+        norms[r] = SquaredNorm(block.data() + r * d, d);
+      }
+      const double x_sq = SquaredNorm(x.data(), d);
       std::vector<uint8_t> qc(d), codes(rows * d);
       for (auto& v : qc) v = static_cast<uint8_t>(rng.NextBelow(256));
       for (auto& v : codes) v = static_cast<uint8_t>(rng.NextBelow(256));
@@ -843,10 +833,6 @@ Status VerifyKernelEquivalence() {
                        ops->squared_l2_pair(x.data(), y, d))) {
           return fail("squared_l2_pair");
         }
-        if (!BitsEqual(ref->dot_pair(x.data(), y, d),
-                       ops->dot_pair(x.data(), y, d))) {
-          return fail("dot_pair");
-        }
       }
       std::vector<double> want(rows), got(rows);
       ref->l2_one_to_many(x.data(), block.data(), rows, d, want.data());
@@ -861,11 +847,6 @@ Status VerifyKernelEquivalence() {
       for (size_t r = 0; r < rows; ++r) {
         if (!BitsEqual(want[r], got[r])) return fail("l2dot_one_to_many");
       }
-      ref->row_norms(block.data(), rows, d, want.data());
-      ops->row_norms(block.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) return fail("row_norms");
-      }
       std::vector<uint32_t> wanti(rows), goti(rows);
       ref->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
                             wanti.data());
@@ -876,8 +857,7 @@ Status VerifyKernelEquivalence() {
       ops->ssd4_one_to_many(qp.data(), rp.data(), rows, d, goti.data());
       if (wanti != goti) return fail("ssd4_one_to_many");
       // fp32-mirror ops: same fixtures narrowed to float, compared at
-      // the fp32 bit level (and at the f64 bit level for the
-      // fp64-accumulate variant).
+      // the fp32 bit level.
       std::vector<float> xf(d), blockf(rows * d), normsf(rows);
       for (size_t i = 0; i < d; ++i) {
         xf[i] = static_cast<float>(x[i]);
@@ -889,15 +869,6 @@ Status VerifyKernelEquivalence() {
       float xf_sq = 0.0f;
       ref->row_norms_f32(xf.data(), 1, d, &xf_sq);
       std::vector<float> wantf(rows), gotf(rows);
-      ref->l2_f32_one_to_many(xf.data(), blockf.data(), rows, d,
-                              wantf.data());
-      ops->l2_f32_one_to_many(xf.data(), blockf.data(), rows, d,
-                              gotf.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqualF(wantf[r], gotf[r])) {
-          return fail("l2_f32_one_to_many");
-        }
-      }
       ref->l2dot_f32_one_to_many(xf.data(), xf_sq, blockf.data(),
                                  normsf.data(), rows, d, wantf.data());
       ops->l2dot_f32_one_to_many(xf.data(), xf_sq, blockf.data(),
@@ -912,36 +883,6 @@ Status VerifyKernelEquivalence() {
       for (size_t r = 0; r < rows; ++r) {
         if (!BitsEqualF(wantf[r], gotf[r])) return fail("row_norms_f32");
       }
-      ref->l2dot_f32d_one_to_many(xf.data(), x_sq, blockf.data(),
-                                  norms.data(), rows, d, want.data());
-      ops->l2dot_f32d_one_to_many(xf.data(), x_sq, blockf.data(),
-                                  norms.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) {
-          return fail("l2dot_f32d_one_to_many");
-        }
-      }
-      // Query-block many-to-many ops: the whole block must reproduce
-      // the one-to-many scalar answer per (query, row) pair, with an
-      // out_stride wider than the row count so stride handling is
-      // exercised (DESIGN.md §16).
-      const size_t nq = 3;
-      const size_t ostride = rows + 2;
-      std::vector<double> qs(nq * d), q_sqs(nq);
-      for (double& v : qs) v = rng.Gaussian(0.0, 1.0);
-      ref->row_norms(qs.data(), nq, d, q_sqs.data());
-      std::vector<double> wantm(rows), gotm(nq * ostride);
-      ops->l2dot_many_to_many(qs.data(), q_sqs.data(), nq, block.data(),
-                              norms.data(), rows, d, gotm.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->l2dot_one_to_many(qs.data() + q * d, q_sqs[q], block.data(),
-                               norms.data(), rows, d, wantm.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (!BitsEqual(wantm[r], gotm[q * ostride + r])) {
-            return fail("l2dot_many_to_many");
-          }
-        }
-      }
       std::vector<uint32_t> ridx;
       for (size_t r = 0; r < rows; ++r) {
         if ((r + d) % 2 == 0) ridx.push_back(static_cast<uint32_t>(r));
@@ -955,53 +896,6 @@ Status VerifyKernelEquivalence() {
                        ref->squared_l2_pair(
                            x.data(), block.data() + ridx[i] * d, d))) {
           return fail("l2_gather");
-        }
-      }
-      std::vector<float> qsf32(nq * d), qsq32(nq);
-      for (size_t i = 0; i < nq * d; ++i) {
-        qsf32[i] = static_cast<float>(qs[i]);
-      }
-      ref->row_norms_f32(qsf32.data(), nq, d, qsq32.data());
-      std::vector<float> wantmf(rows), gotmf(nq * ostride);
-      ops->l2dot_f32_many_to_many(qsf32.data(), qsq32.data(), nq,
-                                  blockf.data(), normsf.data(), rows, d,
-                                  gotmf.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->l2dot_f32_one_to_many(qsf32.data() + q * d, qsq32[q],
-                                   blockf.data(), normsf.data(), rows, d,
-                                   wantmf.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (!BitsEqualF(wantmf[r], gotmf[q * ostride + r])) {
-            return fail("l2dot_f32_many_to_many");
-          }
-        }
-      }
-      std::vector<uint8_t> qcm(nq * d);
-      for (auto& v : qcm) v = static_cast<uint8_t>(rng.NextBelow(256));
-      std::vector<uint32_t> wantim(rows), gotim(nq * ostride);
-      ops->ssd8_many_to_many(qcm.data(), nq, codes.data(), rows, d,
-                             gotim.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->ssd8_one_to_many(qcm.data() + q * d, codes.data(), rows, d,
-                              wantim.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (wantim[r] != gotim[q * ostride + r]) {
-            return fail("ssd8_many_to_many");
-          }
-        }
-      }
-      std::vector<uint8_t> qnm(nq * d), qpm(nq * stride);
-      for (auto& v : qnm) v = static_cast<uint8_t>(rng.NextBelow(16));
-      PackNibbleRows(qnm.data(), nq, d, qpm.data());
-      ops->ssd4_many_to_many(qpm.data(), nq, rp.data(), rows, d,
-                             gotim.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->ssd4_one_to_many(qpm.data() + q * stride, rp.data(), rows, d,
-                              wantim.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (wantim[r] != gotim[q * ostride + r]) {
-            return fail("ssd4_many_to_many");
-          }
         }
       }
       // Tiled exact scan: 1..19 rows (every partial last tile and the
@@ -1081,7 +975,7 @@ Status VerifyOpCoverage(std::vector<std::string>* lines) {
     }
     std::string line = std::string(KernelBackendName(backend)) + ": ";
     if (missing.empty()) {
-      line += "all 18 ops";
+      line += "all 10 ops";
     } else {
       line += "MISSING " + missing;
       holes = Status::Unknown(
@@ -1130,7 +1024,7 @@ int RunKernelInfo(const Args& args) {
     }
     std::printf("  equivalence:  %s\n",
                 equiv.ok() ? "every usable backend bit-identical to scalar "
-                             "(dims 1..67, all 18 ops)"
+                             "(dims 1..67, all 10 ops)"
                            : equiv.ToString().c_str());
   }
   return equiv.ok() ? 0 : 1;

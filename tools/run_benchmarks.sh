@@ -22,14 +22,9 @@
 # claim on SIMD hosts; recorded-only on 1-cpu or scalar hosts), the
 # end-to-end BM_IndexedKnnF32 pair, and a third serve-bench run at
 # --exact-precision f32 whose rows carry the refine-rate counters.
-# The pr10 file holds the query-block batched families
-# (BM_BatchedKnn): a per-query NearestNeighbors loop paired against
-# one BatchNearestNeighbors query-block call over the identical
-# single-thread index, plus the serve-bench per-tier throughput and
-# micro-batch-size histograms. On SIMD hosts (dispatched backend,
-# >1 CPU) the batch >= 16 / dim >= 30 pairs carry a gated 1.3x
-# claim and a stable or directional loss on ANY pair fails the run;
-# 1-cpu or scalar-only hosts record ungated.
+# BENCH_pr10.json holds the serve-bench per-tier throughput and
+# micro-batch-size histograms; its batched-vs-per-query pair family
+# and 1.3x gate were removed with the query-block engine they timed.
 #
 # Usage: tools/run_benchmarks.sh [--update] [--quick]
 #
@@ -209,9 +204,8 @@ PR7_PREFIXES = ("BM_ShardedKnn", "BM_ServedKnnSharded",
 # mode 1 (the runtime-dispatched widest backend). The int8 families'
 # wins are gated directionally; the double families depend on how well
 # the auto-vectorizer already did and are annotated only.
-PR8_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked", "BM_Ssd4OneToMany",
-                "BM_L2OneToMany")
-PR8_GATED_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked")
+PR8_PREFIXES = ("BM_SsdOneToMany", "BM_Ssd4OneToMany", "BM_L2OneToMany")
+PR8_GATED_PREFIXES = ("BM_SsdOneToMany",)
 # The fp32 exact-tier families (PR 9). The kernel families carry the
 # usual {dim, mode} scalar-vs-dispatched pairing; the fp32-vs-f64
 # ratio is computed ACROSS families at mode 1 (dispatched) — each
@@ -220,14 +214,11 @@ PR8_GATED_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked")
 # mode 1 (fp32 mirror scan + certified double refine) end to end.
 # NOTE: "BM_L2OneToMany" (PR 8) is a proper prefix of none of these;
 # keep it that way — the buckets are prefix-matched.
-PR9_PREFIXES = ("BM_L2F32OneToMany", "BM_L2DotF32OneToMany",
-                "BM_L2DotF64OneToMany", "BM_IndexedKnnF32")
-# The query-block batched family (PR 10) pairs mode 0 (a per-query
-# NearestNeighbors loop) against mode 1 (one BatchNearestNeighbors
-# call) at each {batch, dim}; the name is BM_BatchedKnn/<batch>/<dim>
-# with the mode as the trailing arg like every other pair. The prefix
-# collides with no other bucket.
-PR10_PREFIXES = ("BM_BatchedKnn",)
+PR9_PREFIXES = ("BM_L2DotF32OneToMany", "BM_L2DotF64OneToMany",
+                "BM_IndexedKnnF32")
+# The query-block batched family is gone with the engine it timed;
+# the bucket stays empty so BENCH_pr10.json keeps its shape.
+PR10_PREFIXES = ()
 
 # ns/op at the parent of this PR (release build, same harness,
 # median of 3 runs interleaved with post-change runs on the same host
@@ -459,8 +450,6 @@ def cross_family_speedups(base_prefix, new_prefix):
 
 f32_kernel_pairs = {}
 f32_kernel_pairs.update(
-    cross_family_speedups("BM_L2OneToMany", "BM_L2F32OneToMany"))
-f32_kernel_pairs.update(
     cross_family_speedups("BM_L2DotF64OneToMany", "BM_L2DotF32OneToMany"))
 if f32_kernel_pairs:
     print("f64 vs fp32 kernel (cross-family paired per-pass ratios; "
@@ -475,7 +464,7 @@ print_speedups("f64 vs fp32 exact tier, end-to-end indexed kNN "
                "(paired per-pass ratios; answers are bit-identical):",
                speedups9, "f64_ns_per_op", "f32_ns_per_op")
 speedups9_dispatch = paired_speedups(
-    ("BM_L2F32OneToMany", "BM_L2DotF32OneToMany", "BM_L2DotF64OneToMany"),
+    ("BM_L2DotF32OneToMany", "BM_L2DotF64OneToMany"),
     "scalar_ns_per_op", "dispatched_ns_per_op")
 speedups10 = paired_speedups(PR10_PREFIXES, "per_query_ns_per_op",
                              "batched_ns_per_op")
@@ -895,7 +884,7 @@ elif speedups9:
 # --- query-block batched-scan checks (PR 10) ---
 #
 # Batched and per-query answers are bit-identical by the §16 contract
-# (and by the query_block_test grid), so every ratio is pure
+# (and by the batch_query_test grid), so every ratio is pure
 # wall-clock. The claim is amortization: one many-to-many kernel call
 # per (tier, partition group) must beat batch separate one-to-many
 # scans once the block is wide enough to amortize the per-partition
@@ -1057,8 +1046,8 @@ doc8 = {
                 "dispatched widest SIMD backend) runs of the same "
                 "binary, so host load cancels; outputs are verified "
                 "bit-identical by kernel-info and the unit tests "
-                "before any number is reported. The int8 families "
-                "(BM_SsdOneToMany, BM_SsdBlocked) are gated "
+                "before any number is reported. The int8 family "
+                "(BM_SsdOneToMany) is gated "
                 "directionally; the double families are annotated. "
                 "The four_bit section pairs the 8-bit and 4-bit "
                 "coarse tiers at identical exact answers.",
@@ -1106,7 +1095,7 @@ doc10 = {
                 "BatchNearestNeighbors query-block call) runs of the "
                 "same binary over the same single-thread index, so "
                 "host load cancels; answers are bit-identical by the "
-                "DESIGN.md §16 contract and the query_block_test "
+                "DESIGN.md §16 contract and the batch_query_test "
                 "grid, so every ratio is pure wall-clock. On SIMD "
                 "hosts the best stable batch>=16/dim>=30 row carries "
                 "the gated 1.3x amortization claim and any "

@@ -29,9 +29,10 @@ ctest --preset "$preset" "$@"
 # reference and then explicitly to the dispatched best, so both sides
 # of the bit-exactness contract get sanitizer coverage — the scalar
 # fallback path is otherwise dead code on machines with AVX2/AVX-512.
-# QueryBlock is the §16 query-block grid: together with the fp32 loop
-# below, the blocked many-to-many scan path gets sanitizer coverage
-# under MOCEMG_KERNEL={scalar,auto} x MOCEMG_EXACT_PRECISION={f64,f32}.
+# QueryBlock is the batch-query suite (tests/db/batch_query_test.cc):
+# together with the fp32 loop below, the batch entry points get
+# sanitizer coverage under MOCEMG_KERNEL={scalar,auto} x
+# MOCEMG_EXACT_PRECISION={f64,f32}.
 # QueryServer is the served index path (its index and sharded
 # bit-identity tests scan through the tiled f64 kernel, §19).
 # Acquisition|Biquad|Resample|Butterworth are the EMG conditioning
