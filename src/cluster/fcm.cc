@@ -13,14 +13,13 @@
 namespace mocemg {
 namespace {
 
-// Point tile for the E-step's blocked distance kernel: a tile's
-// point-to-center distances land in one scratch block so the center
-// rows stream once per tile, not once per point. Tiling never changes
-// bits (each pair's accumulation is self-contained in the kernel).
-constexpr size_t kEstepTile = 32;
+// Points per E-step block: 8 tiles, so a block's centre-major distances
+// (c × 64 doubles) stay in L1 while its membership rows are formed.
+constexpr size_t kEstepRows = 8 * kL2TileRows;
 
-// u^m, with the paper's m = 2 special-cased to a multiply: pow()
-// otherwise dominates the M-step accumulation at small dimensions.
+// u^m (the M-step's weight W and the objective's), with the paper's
+// m = 2 special-cased to a multiply: pow() otherwise dominates the
+// E-step at small dimensions.
 inline double FuzzyWeight(double u, double m) {
   return m == 2.0 ? u * u : std::pow(u, m);
 }
@@ -94,6 +93,99 @@ void MembershipRow(const double* sq_dists, size_t c, double exponent,
   for (size_t i = 0; i < c; ++i) row[i] /= sum;
 }
 
+// E-step over `rows` points held as one PackL2Tiles block. Writes each
+// point's membership row against `centers` into u (row-major, stride
+// c), and FuzzyWeight(u) into w when w is set. With `objective` set it
+// also adds Σ_k Σ_i w_ki · d²_ki to *objective in (point, centre) order
+// and returns max |u_new − u_old| over the rows it replaces.
+//
+// Every value keeps the bits of SquaredL2OneToMany + MembershipRow per
+// point: l2_tiles with the centre as the query computes fl(c − x) where
+// the pair kernel computes fl(x − c), and round-to-nearest negates
+// exactly, so the squares and their 4-lane sums match. A group of 8
+// points (one tile) then runs MembershipRow's m = 2 ops in its order:
+// 1 / d_i and the running sum over ascending i with the points in
+// lanes, then (1 / d_i) / sum point by point, beside the serial
+// objective. Division is correctly rounded, so every lane keeps the
+// scalar bits. A group with a crisp row (some d_i <= 0), and every
+// group when m != 2, takes its rows from MembershipRow point by point
+// instead, over sums of 1 (x / 1 == x exactly).
+double MembershipRows(const double* tiles, size_t rows,
+                      const Matrix& centers, double m, double* u, double* w,
+                      double* objective) {
+  constexpr size_t G = kL2TileRows;
+  const size_t c = centers.rows();
+  const size_t d = centers.cols();
+  const double exponent = 1.0 / (m - 1.0);
+  // dist: a block's distances, centre-major with the points in lanes;
+  // lanes: one group's 1 / d_i (or its finished rows from the scalar
+  // fallback), centre-major; sq/row: one point's distances and row for
+  // that fallback.
+  std::vector<double> scratch(c * (kEstepRows + G + 2));
+  double* dist = scratch.data();
+  double* lanes = dist + c * kEstepRows;
+  double* sq = lanes + c * G;
+  double* row = sq + c;
+  double obj = objective != nullptr ? *objective : 0.0;
+  double max_delta = 0.0;
+  for (size_t r0 = 0; r0 < rows; r0 += kEstepRows) {
+    const size_t block = std::min(rows - r0, kEstepRows);
+    for (size_t i = 0; i < c; ++i) {
+      double* di = dist + i * kEstepRows;
+      SquaredL2Tiles(centers.RowPtr(i), tiles + r0 * d, block, d, di);
+      // The pad lanes of a partial last group divide harmlessly and
+      // never look crisp.
+      std::fill(di + block, di + (block + G - 1) / G * G, 1.0);
+    }
+    for (size_t g0 = 0; g0 < block; g0 += G) {
+      const double* dg = dist + g0;
+      const size_t n = std::min(block - g0, G);
+      double sum[G] = {};
+      size_t crisp = 0;
+      for (size_t i = 0; i < c; ++i) {
+        const double* di = dg + i * kEstepRows;
+        double* li = lanes + i * G;
+        for (size_t l = 0; l < G; ++l) {
+          li[l] = 1.0 / di[l];
+          sum[l] += li[l];
+          crisp += di[l] <= 0.0;
+        }
+      }
+      if (exponent != 1.0 || crisp > 0) {
+        for (size_t l = 0; l < n; ++l) {
+          for (size_t i = 0; i < c; ++i) sq[i] = dg[i * kEstepRows + l];
+          MembershipRow(sq, c, exponent, row);
+          for (size_t i = 0; i < c; ++i) lanes[i * G + l] = row[i];
+          sum[l] = 1.0;
+        }
+      }
+      for (size_t l = 0; l < n; ++l) {
+        const size_t k = r0 + g0 + l;
+        double* urow = u + k * c;
+        if (objective == nullptr) {
+          for (size_t i = 0; i < c; ++i) urow[i] = lanes[i * G + l] / sum[l];
+          if (w != nullptr) {
+            for (size_t i = 0; i < c; ++i) {
+              w[k * c + i] = FuzzyWeight(urow[i], m);
+            }
+          }
+          continue;
+        }
+        double* wrow = w + k * c;
+        for (size_t i = 0; i < c; ++i) {
+          const double v = lanes[i * G + l] / sum[l];
+          max_delta = std::max(max_delta, std::fabs(v - urow[i]));
+          urow[i] = v;
+          wrow[i] = FuzzyWeight(v, m);
+          obj += wrow[i] * dg[i * kEstepRows + l];
+        }
+      }
+    }
+  }
+  if (objective != nullptr) *objective = obj;
+  return max_delta;
+}
+
 struct Fit {
   FcmModel model;
   double objective = std::numeric_limits<double>::infinity();
@@ -105,10 +197,11 @@ Result<Fit> FitOnce(const Matrix& points, const FcmOptions& options,
   const size_t d = points.cols();
   const size_t c = options.num_clusters;
   const double m = options.fuzziness;
-  const double exponent = 1.0 / (m - 1.0);
 
   Rng rng(seed);
   Matrix u(n, c);
+  // W = FuzzyWeight(u), written by each E-step for the next M-step.
+  Matrix w(n, c);
   Matrix centers(c, d);
 
   // Both inits pick distinct data points as the initial centers and
@@ -132,40 +225,37 @@ Result<Fit> FitOnce(const Matrix& points, const FcmOptions& options,
     MOCEMG_ASSIGN_OR_RETURN(KmeansModel seeded, FitKmeans(points, km));
     init_centers = std::move(seeded.centers);
   }
-  // Initial memberships from the seed centers: each point's row is
-  // independent, so this parallelizes with bit-identical results.
-  {
-    Status st = ParallelFor(
-        n,
-        [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-          std::vector<double> sq(kEstepTile * c);
-          for (size_t k0 = begin; k0 < end; k0 += kEstepTile) {
-            const size_t tile = std::min(kEstepTile, end - k0);
-            SquaredL2ManyToMany(points.RowPtr(k0), tile,
-                                init_centers.RowPtr(0), c, d, sq.data(),
-                                c);
-            for (size_t t = 0; t < tile; ++t) {
-              MembershipRow(sq.data() + t * c, c, exponent,
-                            u.RowPtr(k0 + t));
-            }
-          }
-          return Status::OK();
-        },
-        options.parallel);
-    MOCEMG_RETURN_NOT_OK(st);
-  }
 
-  // Per-chunk partial accumulators for the M-step and the per-iteration
-  // reductions. The chunk decomposition is a pure function of (n, grain)
-  // — never of the thread count — and partials are combined in ascending
-  // chunk order, so every thread count produces the same bits. Allocated
-  // once, reused every iteration.
+  // Per-chunk state. The chunk decomposition is a pure function of
+  // (n, grain) — never of the thread count — and partials are combined
+  // in ascending chunk order, so every thread count produces the same
+  // bits. Each chunk's points are one block of 8-row tiles for the
+  // E-step, packed by the chunk's first E-step; every block starts on a
+  // tile boundary. Allocated once, reused every iteration.
   const size_t num_chunks = ParallelNumChunks(n, options.parallel.grain);
+  std::vector<size_t> tile_offset(num_chunks + 1, 0);
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    const auto [begin, end] = ParallelChunkBounds(n, num_chunks, chunk);
+    tile_offset[chunk + 1] = tile_offset[chunk] + L2TilesSize(end - begin, d);
+  }
+  std::vector<double> tiles(tile_offset.back());
   std::vector<Matrix> part_centers(num_chunks, Matrix(c, d));
   std::vector<std::vector<double>> part_weight(
       num_chunks, std::vector<double>(c, 0.0));
   std::vector<double> part_objective(num_chunks, 0.0);
   std::vector<double> part_max_delta(num_chunks, 0.0);
+
+  // Initial memberships (and W) from the seed centers.
+  MOCEMG_RETURN_NOT_OK(ParallelFor(
+      n,
+      [&](size_t begin, size_t end, size_t chunk) -> Status {
+        double* block = tiles.data() + tile_offset[chunk];
+        PackL2Tiles(points.RowPtr(begin), end - begin, d, block);
+        MembershipRows(block, end - begin, init_centers, m, u.RowPtr(begin),
+                       w.RowPtr(begin), nullptr);
+        return Status::OK();
+      },
+      options.parallel));
 
   FcmModel model;
   size_t iter = 0;
@@ -175,21 +265,9 @@ Result<Fit> FitOnce(const Matrix& points, const FcmOptions& options,
     Status st = ParallelFor(
         n,
         [&](size_t begin, size_t end, size_t chunk) -> Status {
-          Matrix& pc = part_centers[chunk];
-          std::vector<double>& pw = part_weight[chunk];
-          std::fill(pc.mutable_data().begin(), pc.mutable_data().end(),
-                    0.0);
-          std::fill(pw.begin(), pw.end(), 0.0);
-          for (size_t k = begin; k < end; ++k) {
-            const double* urow = u.RowPtr(k);
-            const double* prow = points.RowPtr(k);
-            for (size_t i = 0; i < c; ++i) {
-              const double w = FuzzyWeight(urow[i], m);
-              pw[i] += w;
-              double* crow = pc.RowPtr(i);
-              for (size_t j = 0; j < d; ++j) crow[j] += w * prow[j];
-            }
-          }
+          WeightedRowSums(w.RowPtr(begin), c, points.RowPtr(begin), d,
+                          end - begin, part_centers[chunk].RowPtr(0),
+                          part_weight[chunk].data());
           return Status::OK();
         },
         options.parallel);
@@ -218,34 +296,17 @@ Result<Fit> FitOnce(const Matrix& points, const FcmOptions& options,
       }
     }
 
-    // Membership update + objective + convergence check. Rows of U are
-    // written disjointly; the objective is an ordered per-chunk sum and
-    // max_delta an (order-insensitive) max.
+    // Membership update + objective + convergence check. Rows of U and
+    // W are written disjointly; the objective is an ordered per-chunk
+    // sum and max_delta an (order-insensitive) max.
     st = ParallelFor(
         n,
         [&](size_t begin, size_t end, size_t chunk) -> Status {
-          std::vector<double> sq(kEstepTile * c);
-          std::vector<double> new_row(c);
           double objective = 0.0;
-          double max_delta = 0.0;
-          for (size_t k0 = begin; k0 < end; k0 += kEstepTile) {
-            const size_t tile = std::min(kEstepTile, end - k0);
-            SquaredL2ManyToMany(points.RowPtr(k0), tile,
-                                centers.RowPtr(0), c, d, sq.data(), c);
-            for (size_t t = 0; t < tile; ++t) {
-              const double* sq_row = sq.data() + t * c;
-              MembershipRow(sq_row, c, exponent, new_row.data());
-              double* urow = u.RowPtr(k0 + t);
-              for (size_t i = 0; i < c; ++i) {
-                max_delta =
-                    std::max(max_delta, std::fabs(new_row[i] - urow[i]));
-                urow[i] = new_row[i];
-                objective += FuzzyWeight(new_row[i], m) * sq_row[i];
-              }
-            }
-          }
+          part_max_delta[chunk] = MembershipRows(
+              tiles.data() + tile_offset[chunk], end - begin, centers, m,
+              u.RowPtr(begin), w.RowPtr(begin), &objective);
           part_objective[chunk] = objective;
-          part_max_delta[chunk] = max_delta;
           return Status::OK();
         },
         options.parallel);
@@ -344,19 +405,12 @@ Result<Matrix> EvaluateMembershipBatch(const Matrix& centers,
     }
   }
   const size_t n = points.rows();
-  const size_t c = centers.rows();
   const size_t d = centers.cols();
-  const double exponent = 1.0 / (fuzziness - 1.0);
-  Matrix out(n, c);
-  std::vector<double> sq(kEstepTile * c);
-  for (size_t k0 = 0; k0 < n; k0 += kEstepTile) {
-    const size_t tile = std::min(kEstepTile, n - k0);
-    SquaredL2ManyToMany(points.RowPtr(k0), tile, centers.RowPtr(0), c, d,
-                        sq.data(), c);
-    for (size_t t = 0; t < tile; ++t) {
-      MembershipRow(sq.data() + t * c, c, exponent, out.RowPtr(k0 + t));
-    }
-  }
+  Matrix out(n, centers.rows());
+  std::vector<double> tiles(L2TilesSize(n, d));
+  PackL2Tiles(points.data().data(), n, d, tiles.data());
+  MembershipRows(tiles.data(), n, centers, fuzziness,
+                 out.mutable_data().data(), nullptr, nullptr);
   return out;
 }
 

@@ -46,9 +46,12 @@ struct FcmOptions {
   /// Independent restarts; the fit with the lowest final objective wins.
   int restarts = 1;
   /// Point-level parallelism for the membership (E) and center-
-  /// accumulation (M) steps. Per-chunk partial sums are combined in a
+  /// accumulation (M) steps. Each chunk keeps its points as one block
+  /// of 8-row tiles (PackL2Tiles) for the E-step and sums its M-step
+  /// partials through WeightedRowSums; the partials are combined in a
   /// fixed chunk order, so fits — and therefore restarts — are
-  /// bit-identical for every max_threads.
+  /// bit-identical for every max_threads and kernel backend. The chunks
+  /// depend on `grain` only, never on max_threads.
   ParallelOptions parallel;
 };
 
@@ -80,8 +83,10 @@ Result<std::vector<double>> EvaluateMembership(const Matrix& centers,
 /// \brief Eq. 9 membership for a whole matrix of row-points at once
 /// (the classifier's per-window evaluation path). Row k is bit-identical
 /// to EvaluateMembership(centers, points.Row(k), fuzziness): the batch
-/// runs the blocked distance kernel over point tiles, and per-pair
-/// kernel arithmetic does not depend on the tiling.
+/// runs the fit's own E-step, which packs the points into 8-row tiles,
+/// scores each tile against every centre through SquaredL2Tiles and
+/// forms a tile's rows with its points in lanes, each lane doing the
+/// one-point path's operations in its order.
 Result<Matrix> EvaluateMembershipBatch(const Matrix& centers,
                                        const Matrix& points,
                                        double fuzziness = 2.0);

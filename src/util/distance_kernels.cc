@@ -75,6 +75,12 @@ void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
   internal::ActiveKernelOps().l2_tiles(query, tiles, rows, d, out);
 }
 
+void WeightedRowSums(const double* w, size_t c, const double* x, size_t d,
+                     size_t rows, double* sums, double* totals) {
+  internal::ActiveKernelOps().weighted_row_sums(w, c, x, d, rows, sums,
+                                                totals);
+}
+
 void SquaredL2DotF32OneToMany(const float* query, float query_sq,
                               const float* block, const float* norms_sq,
                               size_t rows, size_t d, float* out) {

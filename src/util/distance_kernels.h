@@ -193,6 +193,15 @@ void PackL2Tiles(const double* block, size_t rows, size_t d,
 void SquaredL2Tiles(const double* query, const double* tiles, size_t rows,
                     size_t d, double* out);
 
+/// \brief FCM's M-step sums over `rows` points: sums[i·d + j] =
+/// Σ_k w[k·c + i] · x[k·d + j] and totals[i] = Σ_k w[k·c + i], with
+/// `w` (rows × c) and `x` (rows × d) row-major. Each sum starts from
+/// +0.0 and adds its terms in increasing k, so the result has the bits
+/// of that plain loop on every backend (KernelOps::weighted_row_sums).
+/// Overwrites sums[0, c·d) and totals[0, c); d >= 1.
+void WeightedRowSums(const double* w, size_t c, const double* x, size_t d,
+                     size_t rows, double* sums, double* totals);
+
 /// \brief Conservative bound on |dot-form − difference-form| for one
 /// pair: 4·d·ε·(query_sq + max_norm_sq), with ε = 2⁻⁵² (see DESIGN.md
 /// §10.2). Valid for any row whose squared norm is <= max_norm_sq.

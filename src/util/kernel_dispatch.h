@@ -24,14 +24,16 @@
 /// implement the identical 4-lane order at fp32 precision, and the
 /// integer coarse kernels are exact by construction (int32 sums of
 /// squared byte diffs are associative), the tiled exact scan keeps the
-/// 4-lane order per row with rows in SIMD lanes, and the biquad lane
+/// 4-lane order per row with rows in SIMD lanes, the biquad lane
 /// kernel runs each lane's recurrence with the scalar loop's own
-/// operations. Switching backends can never change a kNN result, a
-/// pruning decision, a clustering iterate or a conditioned EMG sample —
-/// only the wall-clock. The contract is enforced by
-/// tests/util/kernel_dispatch_test.cc across dims 1–67 (rows 0–37 for
-/// the tiled scan; lanes 1–9 and frames 0–300 for the biquad kernel)
-/// for every backend the binary carries. The backend TUs compile with
+/// operations, and the FCM M-step sums keep each (centre, dim) sum's
+/// point order with dims in lanes. Switching backends can never change
+/// a kNN result, a pruning decision, a clustering iterate or a
+/// conditioned EMG sample — only the wall-clock. The contract is
+/// enforced by tests/util/kernel_dispatch_test.cc across dims 1–67
+/// (rows 0–37 for the tiled scan; lanes 1–9 and frames 0–300 for the
+/// biquad kernel; centres 1–40 and points 0–70 for the M-step sums) for
+/// every backend the binary carries. The backend TUs compile with
 /// -ffp-contract=off, and so does the whole project, so the scalar
 /// reference cannot be contracted to FMA on a target that has it.
 ///
@@ -104,6 +106,17 @@ constexpr size_t kL2TileRows = 8;
 /// (never FMA), so lanes never interact and each lane's bits are those
 /// of the one-lane scalar loop (NaN payloads aside: which NaN operand
 /// an add passes on is not part of the contract).
+///
+/// `weighted_row_sums` is FCM's M-step over a block of `rows` points
+/// of dimension d >= 1. With the weights row-major (`w[k * c + i]`,
+/// point k, centre i) and the points row-major (`x[k * d + j]`), it
+/// writes `sums[i * d + j] = Σ_k w[k·c + i] · x[k·d + j]` and
+/// `totals[i] = Σ_k w[k·c + i]`. Each is a running sum that starts from
+/// +0.0 and takes k in increasing order, one multiply and then one add
+/// per term (never FMA), so every backend writes the bits of the scalar
+/// loop. The x86 backends put dims in SIMD lanes and keep a block of
+/// centre rows in registers across the points (NaN payloads aside, as
+/// above).
 struct KernelOps {
   const char* name;
   double (*squared_l2_pair)(const double* x, const double* y, size_t d);
@@ -129,6 +142,9 @@ struct KernelOps {
                                size_t lanes, bool reverse);
   void (*l2_tiles)(const double* query, const double* tiles, size_t rows,
                    size_t d, double* out);
+  void (*weighted_row_sums)(const double* w, size_t c, const double* x,
+                            size_t d, size_t rows, double* sums,
+                            double* totals);
 };
 
 /// \brief Stable lowercase name ("auto", "scalar", "avx2", ...).

@@ -30,6 +30,7 @@
 
 #include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
+#include "util/kernels/weighted_row_sums_x86.h"
 
 namespace mocemg {
 namespace internal {
@@ -416,6 +417,7 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2Gather,
       X86BiquadCascadeLanes,
       Avx2L2Tiles,
+      X86WeightedRowSums<Ymm>,
   };
   return ops;
 }

@@ -25,6 +25,7 @@
 
 #include "util/kernels/biquad_lanes_x86.h"
 #include "util/kernels/kernel_backend.h"
+#include "util/kernels/weighted_row_sums_x86.h"
 
 namespace mocemg {
 namespace internal {
@@ -648,6 +649,7 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2Gather,
       X86BiquadCascadeLanes,
       Avx512L2Tiles,
+      X86WeightedRowSums<Zmm>,
   };
   return ops;
 }

@@ -283,8 +283,10 @@ const KernelOps& NeonKernelOps() {
       // No NEON lane kernel yet: the scalar reference (bit-identical by
       // definition) answers for it.
       ScalarKernelOps().biquad_cascade_lanes,
-      // Nor a NEON tiled scan: the scalar entry answers for it too.
+      // Nor a NEON tiled scan or M-step: the scalar entries answer for
+      // them too.
       ScalarKernelOps().l2_tiles,
+      ScalarKernelOps().weighted_row_sums,
   };
   return ops;
 }

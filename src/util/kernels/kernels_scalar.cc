@@ -140,6 +140,25 @@ void ScalarL2Tiles(const double* query, const double* tiles, size_t rows,
   }
 }
 
+// FCM M-step sums (kernel_dispatch.h): point by point, every centre's
+// weight goes into its total and, times the point, into its row.
+void ScalarWeightedRowSums(const double* w, size_t c, const double* x,
+                           size_t d, size_t rows, double* sums,
+                           double* totals) {
+  std::fill(sums, sums + c * d, 0.0);
+  std::fill(totals, totals + c, 0.0);
+  for (size_t k = 0; k < rows; ++k) {
+    const double* wk = w + k * c;
+    const double* xk = x + k * d;
+    for (size_t i = 0; i < c; ++i) {
+      const double wi = wk[i];
+      totals[i] += wi;
+      double* row = sums + i * d;
+      for (size_t j = 0; j < d; ++j) row[j] += wi * xk[j];
+    }
+  }
+}
+
 // DF2T biquad cascade over interleaved lanes (kernel_dispatch.h). A
 // cascade is a chain of causal filters, so running a group of sections
 // over the whole signal and then the next group gives the same bits as
@@ -223,6 +242,7 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2Gather,
       ScalarBiquadCascadeLanes,
       ScalarL2Tiles,
+      ScalarWeightedRowSums,
   };
   return ops;
 }

@@ -178,10 +178,11 @@ TEST(EvaluateMembershipTest, Validations) {
 }
 
 TEST(EvaluateMembershipTest, BatchRowsBitIdenticalToSingleEvaluation) {
-  // The batch path runs the blocked many-to-many kernel over point
-  // tiles; per-pair kernel bits do not depend on the tiling, so each
-  // row must equal the one-point evaluation exactly. Dimensions cover
-  // every 4-way unroll remainder.
+  // The batch path scores 8-point tiles against each centre and forms
+  // a group's rows with the points in lanes; each row must equal the
+  // one-point evaluation exactly. Dimensions cover every 4-way unroll
+  // remainder; batches of 1-17 rows cover every partial last group, and
+  // from 8 rows on row 3 sits on a centre (a crisp row in a full group).
   Rng rng(77);
   for (size_t d : {1, 2, 3, 4, 5, 7, 18, 33}) {
     Matrix centers(4, d);
@@ -203,6 +204,24 @@ TEST(EvaluateMembershipTest, BatchRowsBitIdenticalToSingleEvaluation) {
         for (size_t i = 0; i < centers.rows(); ++i) {
           EXPECT_EQ((*batch)(k, i), (*single)[i])
               << "dim " << d << " m " << m << " point " << k;
+        }
+      }
+    }
+    for (size_t rows = 1; rows <= 17; ++rows) {
+      Matrix part(rows, d);
+      for (size_t k = 0; k < rows; ++k) part.SetRow(k, points.Row(k));
+      if (rows >= 8) part.SetRow(3, centers.Row(2));
+      for (double m : {1.7, 2.0}) {
+        auto batch = EvaluateMembershipBatch(centers, part, m);
+        ASSERT_TRUE(batch.ok()) << batch.status();
+        for (size_t k = 0; k < rows; ++k) {
+          auto single = EvaluateMembership(centers, part.Row(k), m);
+          ASSERT_TRUE(single.ok());
+          for (size_t i = 0; i < centers.rows(); ++i) {
+            EXPECT_EQ((*batch)(k, i), (*single)[i])
+                << "dim " << d << " m " << m << " rows " << rows
+                << " point " << k;
+          }
         }
       }
     }

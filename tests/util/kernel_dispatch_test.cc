@@ -122,6 +122,7 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2_gather, nullptr);
     EXPECT_NE(ops->biquad_cascade_lanes, nullptr);
     EXPECT_NE(ops->l2_tiles, nullptr);
+    EXPECT_NE(ops->weighted_row_sums, nullptr);
   }
 }
 
@@ -332,7 +333,7 @@ TEST(KernelDispatchTest, SpecialValuesPropagateOnEveryBackend) {
 // The gather op behind the fp32 tier's refine: on every usable
 // backend each gathered row must produce the exact bits of
 // squared_l2_pair on that row, for a shuffled index list.
-TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
+TEST(KernelDispatchTest, L2GatherMatchesPairKernelBitExactly) {
   Rng rng(36);
   for (KernelBackend b : UsableKernelBackends()) {
     const KernelOps* ops = GetKernelOps(b);
@@ -524,6 +525,71 @@ TEST(KernelDispatchTest, L2TilesMatchPairKernelBitExactly) {
           ASSERT_TRUE(same(out[r], want)) << where << " row " << r;
         }
         ASSERT_EQ(out[rows], kCanary) << where;
+      }
+    }
+  }
+}
+
+// FCM's M-step sums: on every usable backend, every (centre, dim) sum
+// and every total has the scalar entry's bits. Centres 1-40 meet every
+// partial centre block of both x86 widths; dims 1-67 every partial dim
+// vector and several dim blocks; points 0-70 the empty block too.
+// ±0, NaN, ±Inf and subnormals ride in the weights and the coordinates
+// of some cases (two NaNs count as equal). Nothing past sums[c·d] or
+// totals[c] may be written.
+TEST(KernelDispatchTest, WeightedRowSumsMatchScalarBitExactly) {
+  const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
+  ASSERT_NE(ref, nullptr);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             0.0,
+                             -0.0};
+  const auto same = [](double a, double b) {
+    return BitsEqual(a, b) || (std::isnan(a) && std::isnan(b));
+  };
+  constexpr double kCanary = 12345.678;
+  Rng rng(45);
+  for (size_t c = 1; c <= 40; ++c) {
+    for (size_t d = 1; d <= kMaxDim; ++d) {
+      const size_t rows = (c * 7 + d * 3) % 71;
+      std::vector<double> w(rows * c), x = RandomVector(rows * d, &rng);
+      for (double& v : w) v = rng.NextDouble();
+      if ((c + d) % 4 == 0) {
+        for (double& v : w) {
+          if (rng.NextBelow(8) == 0) {
+            v = specials[rng.NextBelow(std::size(specials))];
+          }
+        }
+        for (double& v : x) {
+          if (rng.NextBelow(8) == 0) {
+            v = specials[rng.NextBelow(std::size(specials))];
+          }
+        }
+      }
+      std::vector<double> want_sums(c * d), want_totals(c);
+      ref->weighted_row_sums(w.data(), c, x.data(), d, rows,
+                             want_sums.data(), want_totals.data());
+      for (KernelBackend b : UsableKernelBackends()) {
+        const KernelOps* ops = GetKernelOps(b);
+        ASSERT_NE(ops, nullptr);
+        std::vector<double> sums(c * d + 1, kCanary), totals(c + 1, kCanary);
+        ops->weighted_row_sums(w.data(), c, x.data(), d, rows, sums.data(),
+                               totals.data());
+        const std::string where = std::string(ops->name) + " c " +
+                                  std::to_string(c) + " dim " +
+                                  std::to_string(d) + " rows " +
+                                  std::to_string(rows);
+        for (size_t i = 0; i < c * d; ++i) {
+          ASSERT_TRUE(same(sums[i], want_sums[i])) << where << " sum " << i;
+        }
+        for (size_t i = 0; i < c; ++i) {
+          ASSERT_TRUE(same(totals[i], want_totals[i]))
+              << where << " total " << i;
+        }
+        ASSERT_EQ(sums[c * d], kCanary) << where;
+        ASSERT_EQ(totals[c], kCanary) << where;
       }
     }
   }

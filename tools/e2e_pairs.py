@@ -11,10 +11,11 @@ runs `python3 e2ebench/run.py` (untraced) once in each tree per pair, each
 tree with its own build directory; the side that goes first alternates
 from pair to pair. Refuses to run when the two trees' e2ebench/ or
 BENCHMARK.json differ, since the runs would then not measure the same
-thing. For every end-to-end metric of BENCHMARK.json it prints each side's
-median and quartiles and how many pairs the change won (a tie counts for
-neither side), then failed/attempted operations per side. Exits non-zero
-when a run yields no result.
+thing. After each pair it prints every end-to-end metric of BENCHMARK.json
+as parent/change. At the end it prints, per metric, each side's median and
+quartiles and how many pairs the change won (a tie counts for neither
+side), then every pair's values in run order, then failed/attempted
+operations per side. Exits non-zero when a run yields no result.
 """
 
 import argparse
@@ -70,6 +71,13 @@ def run_once(tree: Path, build_dir: Path, args) -> dict:
     return json.loads(lines[-1])
 
 
+def pair_cell(results: dict, name: str, i: int) -> str:
+    return "/".join(
+        f"{results[s][i]['metrics'][name]['value']:.5g}"
+        if name in results[s][i]["metrics"] else "-"
+        for s in ("parent", "change"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -102,11 +110,10 @@ def main() -> int:
         for side in order:
             tree, build_dir = sides[side]
             results[side].append(run_once(tree, build_dir, args))
-        last = {s: results[s][-1]["metrics"] for s in order}
-        print(f"pair {i + 1}/{args.pairs}: " + ", then ".join(
-            f"{s} p50_us {last[s]['p50_us']['value']:.1f} "
-            f"p90_us {last[s]['p90_us']['value']:.1f}" for s in order),
-            flush=True)
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first), "
+              "parent/change: " + ", ".join(
+                  f"{m['name']} {pair_cell(results, m['name'], i)}"
+                  for m in spec["end_to_end"]), flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s, parent {args.parent}")
@@ -132,6 +139,11 @@ def main() -> int:
             cells.append(f"{q2:.5g} [{q1:.5g}-{q3:.5g}]")
         print(f"{name:<14} {cells[0]:>32} {cells[1]:>32} "
               f"{wins:>3}/{args.pairs}")
+    print("\nper pair, parent/change:")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        print(f"{name:<14} " + ", ".join(pair_cell(results, name, i)
+                                         for i in range(args.pairs)))
     for s in ("parent", "change"):
         failed = sum(r["failed"] for r in results[s])
         attempted = sum(r["attempted"] for r in results[s])

@@ -744,10 +744,11 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for all ten table entries (five f64/int ops, two
+// across dims 1..67 for all eleven table entries (five f64/int ops, two
 // fp32-mirror ops, the gather refine, the biquad lane kernel over
-// 1..67 frames of 1..9 lanes, forward and reverse, and the tiled exact
-// scan over 1..19 rows) — the same
+// 1..67 frames of 1..9 lanes, forward and reverse, the tiled exact
+// scan over 1..19 rows and the FCM M-step sums over 1..40 centres and
+// 0..19 points) — the same
 // bit-exactness contract the unit tests enforce, exercised on the
 // actual production binary and CPU. Also reports per-op backend
 // coverage; a compiled backend with a missing (null) table entry fails
@@ -784,6 +785,7 @@ std::vector<std::pair<const char*, bool>> NamedOpPresence(
       {"l2_gather", ops->l2_gather != nullptr},
       {"biquad_cascade_lanes", ops->biquad_cascade_lanes != nullptr},
       {"l2_tiles", ops->l2_tiles != nullptr},
+      {"weighted_row_sums", ops->weighted_row_sums != nullptr},
   };
 }
 
@@ -915,6 +917,25 @@ Status VerifyKernelEquivalence() {
           return fail("l2_tiles");
         }
       }
+      // FCM M-step sums: 1..40 centres of dimension d over 0..19
+      // points, sums and totals both.
+      const size_t centres = 1 + d % 40;
+      const size_t points = d % 20;
+      std::vector<double> weights(points * centres), coords(points * d);
+      for (double& v : weights) v = rng.NextDouble();
+      for (double& v : coords) v = rng.Gaussian(0.0, 1.0);
+      std::vector<double> want_sums(centres * d), got_sums(centres * d);
+      std::vector<double> want_totals(centres), got_totals(centres);
+      ref->weighted_row_sums(weights.data(), centres, coords.data(), d,
+                             points, want_sums.data(), want_totals.data());
+      ops->weighted_row_sums(weights.data(), centres, coords.data(), d,
+                             points, got_sums.data(), got_totals.data());
+      if (std::memcmp(want_sums.data(), got_sums.data(),
+                      want_sums.size() * sizeof(double)) != 0 ||
+          std::memcmp(want_totals.data(), got_totals.data(),
+                      want_totals.size() * sizeof(double)) != 0) {
+        return fail("weighted_row_sums");
+      }
       // Biquad lane kernel: d frames of 1..9 interleaved lanes through
       // a cascade of 1..6 stable sections, both directions, from a
       // carried state.
@@ -975,7 +996,7 @@ Status VerifyOpCoverage(std::vector<std::string>* lines) {
     }
     std::string line = std::string(KernelBackendName(backend)) + ": ";
     if (missing.empty()) {
-      line += "all 10 ops";
+      line += "all 11 ops";
     } else {
       line += "MISSING " + missing;
       holes = Status::Unknown(
@@ -1024,7 +1045,7 @@ int RunKernelInfo(const Args& args) {
     }
     std::printf("  equivalence:  %s\n",
                 equiv.ok() ? "every usable backend bit-identical to scalar "
-                             "(dims 1..67, all 10 ops)"
+                             "(dims 1..67, all 11 ops)"
                            : equiv.ToString().c_str());
   }
   return equiv.ok() ? 0 : 1;

@@ -23,8 +23,7 @@
 # end-to-end BM_IndexedKnnF32 pair, and a third serve-bench run at
 # --exact-precision f32 whose rows carry the refine-rate counters.
 # BENCH_pr10.json holds the serve-bench per-tier throughput and
-# micro-batch-size histograms; its batched-vs-per-query pair family
-# and 1.3x gate were removed with the query-block engine they timed.
+# micro-batch-size histograms.
 #
 # Usage: tools/run_benchmarks.sh [--update] [--quick]
 #
@@ -216,9 +215,6 @@ PR8_GATED_PREFIXES = ("BM_SsdOneToMany",)
 # keep it that way — the buckets are prefix-matched.
 PR9_PREFIXES = ("BM_L2DotF32OneToMany", "BM_L2DotF64OneToMany",
                 "BM_IndexedKnnF32")
-# The query-block batched family is gone with the engine it timed;
-# the bucket stays empty so BENCH_pr10.json keeps its shape.
-PR10_PREFIXES = ()
 
 # ns/op at the parent of this PR (release build, same harness,
 # median of 3 runs interleaved with post-change runs on the same host
@@ -466,12 +462,6 @@ print_speedups("f64 vs fp32 exact tier, end-to-end indexed kNN "
 speedups9_dispatch = paired_speedups(
     ("BM_L2DotF32OneToMany", "BM_L2DotF64OneToMany"),
     "scalar_ns_per_op", "dispatched_ns_per_op")
-speedups10 = paired_speedups(PR10_PREFIXES, "per_query_ns_per_op",
-                             "batched_ns_per_op")
-print_speedups("per-query loop vs query-block batched scan (paired "
-               "per-pass ratios; answers are bit-identical; speedup "
-               "> 1 means the many-to-many block engine is faster):",
-               speedups10, "per_query_ns_per_op", "batched_ns_per_op")
 if kernel_info:
     print(f"kernel dispatch: active={kernel_info.get('active')} "
           f"usable={kernel_info.get('usable')} "
@@ -650,8 +640,7 @@ cpus = len(os.sched_getaffinity(0))
 results2 = {n: e for n, e in results.items()
             if not n.startswith(PR3_PREFIXES + PR4_PREFIXES +
                                 PR5_PREFIXES + PR7_PREFIXES +
-                                PR8_PREFIXES + PR9_PREFIXES +
-                                PR10_PREFIXES)}
+                                PR8_PREFIXES + PR9_PREFIXES)}
 results3 = {n: e for n, e in results.items()
             if n.startswith(PR3_PREFIXES)}
 results4 = {n: e for n, e in results.items()
@@ -667,8 +656,6 @@ results8 = {n: e for n, e in results.items()
             if n.startswith(PR8_PREFIXES)}
 results9 = {n: e for n, e in results.items()
             if n.startswith(PR9_PREFIXES)}
-results10 = {n: e for n, e in results.items()
-             if n.startswith(PR10_PREFIXES)}
 
 # --- robustness-overhead check (the <5% non-degraded criterion) ---
 #
@@ -881,66 +868,6 @@ elif speedups9:
     print(f"fp32 end-to-end claim recorded only (simd_host="
           f"{f32_simd_host}, cpus_online={cpus})")
 
-# --- query-block batched-scan checks (PR 10) ---
-#
-# Batched and per-query answers are bit-identical by the §16 contract
-# (and by the batch_query_test grid), so every ratio is pure
-# wall-clock. The claim is amortization: one many-to-many kernel call
-# per (tier, partition group) must beat batch separate one-to-many
-# scans once the block is wide enough to amortize the per-partition
-# bytes. Gated only on SIMD hosts (same condition as PR 9: a real
-# dispatched backend AND >1 CPU online):
-#   (a) Claim: the best stable batch >= 16 / dim >= 30 pair must reach
-#       1.3x — re-streaming the same rows for 16+ queries has to buy
-#       at least that.
-#   (b) No pair — including the small batch-4 warmup row — may lose
-#       directionally or show a stable ratio below 1.0: batching must
-#       never cost latency.
-# 1-cpu or scalar-only hosts record every ratio ungated.
-batched_gated = f32_simd_host and cpus >= 2
-batched_check = {}
-best_batched_win = 0.0
-for base, s in sorted(speedups10.items()):
-    stable = s["cv"] <= CV_STABLE
-    directional_loss = s["max_ratio"] < 1.0
-    batch = int(base.split("/")[1])
-    dim = int(base.split("/")[2])
-    claim_row = batch >= 16 and dim >= 30
-    ok = True
-    if batched_gated and \
-            (directional_loss or (stable and s["speedup"] < 1.0)):
-        ok = False
-        failures.append(
-            f"{base}: query-block batched scan lost to the per-query "
-            f"loop (x{s['speedup']:.3f} < x1.0, cv={s['cv']:.2f})")
-    if claim_row and (stable or s["min_ratio"] >= 1.0):
-        best_batched_win = max(best_batched_win, s["speedup"])
-    batched_check[base] = {
-        "speedup": s["speedup"],
-        "min_ratio": s["min_ratio"],
-        "max_ratio": s["max_ratio"],
-        "cv": s["cv"],
-        "stable": stable,
-        "claim_row": claim_row,
-        "gated": batched_gated,
-        "ok": ok,
-    }
-if batched_gated and speedups10:
-    if best_batched_win >= 1.3:
-        print(f"batched-knn claim: best stable batch>=16/dim>=30 win "
-              f"x{best_batched_win:.2f} (>= x1.3)")
-    elif best_batched_win > 0.0:
-        failures.append(
-            f"batched-knn claim: best stable batch>=16/dim>=30 win is "
-            f"x{best_batched_win:.2f}, below the 1.3x claim on a SIMD "
-            f"host (active={kernel_info.get('active')})")
-    else:
-        print("batched-knn claim: all claim rows too noisy to judge — "
-              "not gated")
-elif speedups10:
-    print(f"batched-knn claim recorded only (simd_host="
-          f"{f32_simd_host}, cpus_online={cpus})")
-
 # The serve-bench rows now carry per-tier throughput and the
 # micro-batch-size histogram; BENCH_pr10.json keeps just those fields
 # per served row so the batching behavior travels with the numbers.
@@ -1090,23 +1017,9 @@ doc10 = {
     "host": {
         "cpus_online": cpus,
         "kernel": kernel_info,
-        "note": "batched_vs_per_query divides per-pass mode-0 (batch "
-                "separate NearestNeighbors calls) by mode-1 (one "
-                "BatchNearestNeighbors query-block call) runs of the "
-                "same binary over the same single-thread index, so "
-                "host load cancels; answers are bit-identical by the "
-                "DESIGN.md §16 contract and the batch_query_test "
-                "grid, so every ratio is pure wall-clock. On SIMD "
-                "hosts the best stable batch>=16/dim>=30 row carries "
-                "the gated 1.3x amortization claim and any "
-                "directional loss fails the run; 1-cpu or scalar-only "
-                "hosts record ungated. serving_batching keeps the "
-                "per-tier throughput and micro-batch-size histogram "
-                "from each serve-bench run.",
+        "note": "serving_batching keeps the per-tier throughput and "
+                "micro-batch-size histogram from each serve-bench run.",
     },
-    "benchmarks": results10,
-    "batched_vs_per_query": speedups10,
-    "batched_check": batched_check,
     "serving_batching": {
         "single": served_batching_rows(serving),
         "sharded": served_batching_rows(serving_sharded),
@@ -1178,8 +1091,7 @@ if update:
     with open(bench10_path, "w") as f:
         json.dump(doc10, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {bench10_path} ({len(results10)} benchmarks, "
-          f"{len(speedups10)} batched-vs-per-query pairs)")
+    print(f"wrote {bench10_path} (serve-bench batching rows)")
 
 if noisy_skips:
     print("\nslower than the committed baseline but too noisy to gate:")

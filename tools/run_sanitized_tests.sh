@@ -38,11 +38,14 @@ ctest --preset "$preset" "$@"
 # Acquisition|Biquad|Resample|Butterworth are the EMG conditioning
 # suites (§17): they drive the biquad lane kernel one lane at a time
 # and with every channel in lockstep, on both backends.
+# Fcm|EvaluateMembership|Reproduction run the FCM fit and the batch
+# membership rows (§20) through l2_tiles and weighted_row_sums, against
+# the earlier per-point fit and the pinned fig 6-9 grids.
 for kern in scalar auto; do
-  echo "== $preset: kernel/index/conditioning suites under" \
+  echo "== $preset: kernel/index/conditioning/FCM suites under" \
     "MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer|Acquisition|Biquad|Resample|Butterworth' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer|Acquisition|Biquad|Resample|Butterworth|Fcm|EvaluateMembership|Reproduction' \
     --output-on-failure
 done
 
