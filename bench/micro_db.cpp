@@ -76,9 +76,8 @@ BENCHMARK(BM_IndexedKnn)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Dimension sweep at fixed n: the paper-typical final-feature width
 // (2c = 30) up to 8x wider, where the packed scan's advantage over
-// pointer-chased AoS rows grows with the row length. Reported in
-// BENCH_pr4.json alongside the paired kernel-vs-scalar families of
-// micro_distance.
+// pointer-chased AoS rows grows with the row length. Read it alongside
+// the paired kernel-vs-scalar families of micro_distance.
 void BM_IndexedKnnDim(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const size_t n = 4000;
@@ -94,7 +93,7 @@ void BM_IndexedKnnDim(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedKnnDim)->Arg(30)->Arg(64)->Arg(128)->Arg(240);
 
-// Paired quantized-tier family (BENCH_pr5.json): mode 0 scans with the
+// Paired quantized-tier family: mode 0 scans with the
 // exact tiled f64 scan alone (quantized_scan off), mode 1 adds the int8
 // coarse tier. Same binary, same pass, so the per-pass ratio cancels
 // host load. The partition count is pinned low (8 over 20000 records,
@@ -131,7 +130,7 @@ BENCHMARK(BM_QuantIndexedKnnDim)
     ->Args({64, 0})->Args({64, 1})
     ->Args({128, 0})->Args({128, 1});
 
-// Paired fp32-exact-tier family (BENCH_pr9.json): mode 0 answers
+// Paired fp32-exact-tier family: mode 0 answers
 // through the f64 tiled exact scan, mode 1 through the certified fp32
 // mirror scan with error-bound-gated double refine. Same binary, same
 // pass, identical (bit-for-bit) answers — the ratio is the end-to-end

@@ -1,8 +1,8 @@
 // Microbenchmarks: the parallel substrate. Each parallelized stage —
 // window featurization, the FCM fit, batch kNN, batch classification —
 // is timed at 1, 2, and 4 worker threads plus the hardware budget
-// (thread arg 0), so tools/run_benchmarks.sh can report speedup over
-// the provably-identical serial path. Also times the raw ParallelFor
+// (thread arg 0), so each row reads as a speedup over the
+// provably-identical serial path. Also times the raw ParallelFor
 // dispatch overhead, the floor below which parallelizing a loop cannot
 // pay.
 

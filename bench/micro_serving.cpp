@@ -1,6 +1,6 @@
 // Microbenchmarks: the batched query-serving front end vs per-request
-// exact scans — the §11.3 serving path measured as paired families so
-// the per-pass ratio cancels host load (BENCH_pr5.json).
+// exact scans — the §11.3 serving path measured as paired families, so
+// comparing the two modes of one family within a run cancels host load.
 //
 //   BM_ServedKnnBatch/<mode>   mode 0: per-request linear scan loop
 //                              mode 1: QueryServer micro-batch through
@@ -20,18 +20,11 @@
 //                                      overhead of deadline stamping,
 //                                      expiry sweeps, and the watermark
 //                                      check on the non-degraded fast
-//                                      path (BENCH_pr6.json, < 5%).
-//   BM_ShardedKnn/<S>          scatter-gather batch kNN at S shards, one
-//                              thread — the fan-out overhead sweep
-//                              (BENCH_pr7.json).
-//   BM_ServedKnnSharded/<mode> mode 0: single-index server; mode 1: 4
-//                              shards + 2-deep wave pipeline (annotated,
-//                              not gated, on 1-CPU hosts).
+//                                      path (DESIGN.md §12.4).
 //   BM_ServedKnnMutate/<mode>  mutate-then-serve passes. mode 0: stale
-//                              index → exact fallback + full cache loss.
-//                              mode 1: ApplyUpdate + shard-aware
-//                              revalidation keeps the untouched shards'
-//                              cache entries (BENCH_pr7.json).
+//                              index → exact fallback. mode 1:
+//                              ApplyUpdate keeps the index fresh. The
+//                              cache flushes on every mutation in both.
 //
 // Results are bit-identical between the modes by construction (the
 // server's contract); the families measure only how fast the same
@@ -44,7 +37,6 @@
 #include "db/feature_index.h"
 #include "db/motion_database.h"
 #include "db/query_server.h"
-#include "db/sharded_index.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -154,98 +146,26 @@ void BM_ServedKnnCached(benchmark::State& state) {
 }
 BENCHMARK(BM_ServedKnnCached)->Arg(0)->Arg(1);
 
-// Scatter-gather through a ShardedFeatureIndex at S shards, single
-// thread: measures the pure cost of per-shard heaps + fixed-order
-// merge relative to the one-shard scan (S=1). The answers are
-// bit-identical at every S; with one worker the fan-out is overhead,
-// and the sweep quantifies it. On multi-core hosts the shards scan
-// concurrently and the sweep turns into the speedup curve.
-void BM_ShardedKnn(benchmark::State& state) {
-  static const auto* workload =
-      new std::vector<std::vector<double>>(MakeQueries(64, kDim, 404));
-  const size_t shards = static_cast<size_t>(state.range(0));
-  ShardedIndexOptions sopts;
-  sopts.num_shards = shards;
-  sopts.index.parallel.max_threads = 1;
-  auto index = ShardedFeatureIndex::Build(&SharedDb(), sopts);
-  MOCEMG_CHECK_OK(index.status());
-  for (auto _ : state) {
-    auto hits = index->BatchNearestNeighbors(*workload, kK);
-    benchmark::DoNotOptimize(hits);
-    MOCEMG_CHECK_OK(hits.status());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * workload->size()));
-}
-BENCHMARK(BM_ShardedKnn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Single-index serving vs 4-shard serving with a 2-deep wave pipeline,
-// identical workload and answers. With one CPU online the pipeline
-// cannot overlap stages and the pair measures scatter-gather overhead;
-// run_benchmarks.sh annotates (does not gate) the ratio accordingly.
-void BM_ServedKnnSharded(benchmark::State& state) {
-  static const auto* workload =
-      new std::vector<std::vector<double>>(MakeQueries(64, kDim, 505));
-  const bool sharded = state.range(0) == 1;
-  QueryServerOptions opts;
-  opts.max_batch = 16;
-  opts.cache_capacity = 0;
-  opts.parallel.max_threads = 1;
-  if (sharded) {
-    static const ShardedFeatureIndex* index = [] {
-      ShardedIndexOptions sopts;
-      sopts.num_shards = 4;
-      sopts.index.parallel.max_threads = 1;
-      auto built = ShardedFeatureIndex::Build(&SharedDb(), sopts);
-      MOCEMG_CHECK_OK(built.status());
-      return new ShardedFeatureIndex(std::move(*built));
-    }();
-    opts.pipeline_depth = 2;
-    auto server = QueryServer::Create(&SharedDb(), index, opts);
-    MOCEMG_CHECK_OK(server.status());
-    for (auto _ : state) {
-      auto hits = server->NearestNeighborsBatch(*workload, kK);
-      benchmark::DoNotOptimize(hits);
-      MOCEMG_CHECK_OK(hits.status());
-    }
-  } else {
-    auto server = QueryServer::Create(&SharedDb(), &SharedIndex(), opts);
-    MOCEMG_CHECK_OK(server.status());
-    for (auto _ : state) {
-      auto hits = server->NearestNeighborsBatch(*workload, kK);
-      benchmark::DoNotOptimize(hits);
-      MOCEMG_CHECK_OK(hits.status());
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * workload->size()));
-}
-BENCHMARK(BM_ServedKnnSharded)->Arg(0)->Arg(1);
-
-// The mutate-while-serving regime the sharded cache key exists for:
-// each pass mutates one record, then serves a hot working set of
-// queries whose answers live mostly in OTHER shards.
+// Mutate-while-serving: each pass mutates one record, then serves a
+// hot working set of queries. The mutation bumps the database epoch,
+// so the whole result cache invalidates in both modes.
 //
-//   mode 0: plain-index server. The mutation leaves the index stale —
-//           every request falls back to the exact scan and the whole
-//           result cache invalidates on the epoch bump.
-//   mode 1: 4-shard server with ApplyUpdate absorbed between passes —
-//           the index stays fresh, and only cache entries that
-//           provably depended on the mutated shard re-evaluate; the
-//           rest revalidate in place.
+//   mode 0: the mutation leaves the index stale — every request falls
+//           back to the exact blocked scan.
+//   mode 1: ApplyUpdate repacks the mutated record's partition between
+//           passes — the index stays fresh and serves every request.
 //
 // The mutation alternates between two values so every pass does the
 // same work and the pair stays deterministic.
 void BM_ServedKnnMutate(benchmark::State& state) {
-  const bool sharded = state.range(0) == 1;
+  const bool apply = state.range(0) == 1;
   constexpr size_t kMutated = 7;
   // Per-mode database: mutations must not leak across modes.
   static MotionDatabase* dbs[2] = {nullptr, nullptr};
-  MotionDatabase*& db = dbs[sharded ? 1 : 0];
+  MotionDatabase*& db = dbs[apply ? 1 : 0];
   if (db == nullptr) db = new MotionDatabase(MakeDb(kRecords, kDim, 11));
   // Hot working set: perturbed copies of stored records, so each
-  // query's neighbours sit tightly in one partition and the
-  // revalidation certificate has small radii to certify against.
+  // query's neighbours sit tightly in one partition.
   static const auto* workload = [] {
     auto* w = new std::vector<std::vector<double>>();
     const MotionDatabase& seed_db = SharedDb();
@@ -266,38 +186,19 @@ void BM_ServedKnnMutate(benchmark::State& state) {
   alt[1] += 0.1;
   bool flip = false;
 
-  if (sharded) {
-    ShardedIndexOptions sopts;
-    sopts.num_shards = 4;
-    sopts.index.parallel.max_threads = 1;
-    auto built = ShardedFeatureIndex::Build(db, sopts);
-    MOCEMG_CHECK_OK(built.status());
-    ShardedFeatureIndex index(std::move(*built));
-    auto server = QueryServer::Create(db, &index, opts);
-    MOCEMG_CHECK_OK(server.status());
-    for (auto _ : state) {
-      MOCEMG_CHECK_OK(
-          db->UpdateFeature(kMutated, (flip = !flip) ? alt : base));
-      // The inline serve path is synchronous — nothing is in flight,
-      // so the in-place ApplyUpdate is quiesced by construction.
-      MOCEMG_CHECK_OK(index.ApplyUpdate(kMutated));
-      auto hits = server->NearestNeighborsBatch(*workload, kK);
-      benchmark::DoNotOptimize(hits);
-      MOCEMG_CHECK_OK(hits.status());
-    }
-  } else {
-    auto built = FeatureIndex::Build(db);
-    MOCEMG_CHECK_OK(built.status());
-    FeatureIndex index(std::move(*built));
-    auto server = QueryServer::Create(db, &index, opts);
-    MOCEMG_CHECK_OK(server.status());
-    for (auto _ : state) {
-      MOCEMG_CHECK_OK(
-          db->UpdateFeature(kMutated, (flip = !flip) ? alt : base));
-      auto hits = server->NearestNeighborsBatch(*workload, kK);
-      benchmark::DoNotOptimize(hits);
-      MOCEMG_CHECK_OK(hits.status());
-    }
+  auto built = FeatureIndex::Build(db);
+  MOCEMG_CHECK_OK(built.status());
+  FeatureIndex index(std::move(*built));
+  auto server = QueryServer::Create(db, &index, opts);
+  MOCEMG_CHECK_OK(server.status());
+  for (auto _ : state) {
+    MOCEMG_CHECK_OK(db->UpdateFeature(kMutated, (flip = !flip) ? alt : base));
+    // The inline serve path is synchronous — nothing is in flight, so
+    // the in-place ApplyUpdate is quiesced by construction.
+    if (apply) MOCEMG_CHECK_OK(index.ApplyUpdate(kMutated));
+    auto hits = server->NearestNeighborsBatch(*workload, kK);
+    benchmark::DoNotOptimize(hits);
+    MOCEMG_CHECK_OK(hits.status());
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * workload->size()));

@@ -80,33 +80,20 @@ ExactPrecision EnvExactPrecision() {
   return value;
 }
 
-}  // namespace
+// The partition layout: k-means references plus each partition's
+// member records (ascending database order), empty partitions already
+// dropped.
+struct IndexLayout {
+  // Partition references packed row-major (num_partitions × dim).
+  Matrix references;
+  // members[i] = the records of partition i, ascending.
+  std::vector<std::vector<size_t>> members;
+};
 
-const char* ExactPrecisionName(ExactPrecision precision) {
-  switch (precision) {
-    case ExactPrecision::kDefault:
-      return "default";
-    case ExactPrecision::kF64:
-      return "f64";
-    case ExactPrecision::kF32:
-      return "f32";
-  }
-  return "unknown";
-}
-
-Result<ExactPrecision> ParseExactPrecision(const std::string& name) {
-  if (name == "default") return ExactPrecision::kDefault;
-  if (name == "f64" || name == "double") return ExactPrecision::kF64;
-  if (name == "f32" || name == "float") return ExactPrecision::kF32;
-  return Status::InvalidArgument(
-      "unknown exact precision \"" + name + "\" (want f64 or f32)");
-}
-
-ExactPrecision ResolveExactPrecision(ExactPrecision precision) {
-  return precision == ExactPrecision::kDefault ? EnvExactPrecision()
-                                               : precision;
-}
-
+// Runs the seeded k-means over the database's packed features and
+// returns the partition layout. `options.num_partitions` == 0 picks
+// ≈ √N; empty partitions (k-means can strand one on tiny databases)
+// are dropped. Deterministic in (database bytes, options).
 Result<IndexLayout> ComputeIndexLayout(const MotionDatabase& database,
                                        const FeatureIndexOptions& options) {
   if (database.empty()) {
@@ -149,10 +136,36 @@ Result<IndexLayout> ComputeIndexLayout(const MotionDatabase& database,
   return layout;
 }
 
-void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
-                                      const double* reference,
-                                      const FeatureIndexOptions& options,
-                                      Partition* part) {
+}  // namespace
+
+const char* ExactPrecisionName(ExactPrecision precision) {
+  switch (precision) {
+    case ExactPrecision::kDefault:
+      return "default";
+    case ExactPrecision::kF64:
+      return "f64";
+    case ExactPrecision::kF32:
+      return "f32";
+  }
+  return "unknown";
+}
+
+Result<ExactPrecision> ParseExactPrecision(const std::string& name) {
+  if (name == "default") return ExactPrecision::kDefault;
+  if (name == "f64" || name == "double") return ExactPrecision::kF64;
+  if (name == "f32" || name == "float") return ExactPrecision::kF32;
+  return Status::InvalidArgument(
+      "unknown exact precision \"" + name + "\" (want f64 or f32)");
+}
+
+ExactPrecision ResolveExactPrecision(ExactPrecision precision) {
+  return precision == ExactPrecision::kDefault ? EnvExactPrecision()
+                                               : precision;
+}
+
+void FeatureIndex::FillPartition(const double* packed, size_t dim,
+                                 const double* reference,
+                                 Partition* part) const {
   const size_t rows = part->size();
   part->radius_sq = 0.0;
   part->max_norm_sq = 0.0;
@@ -180,10 +193,10 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   part->block_f32.clear();
   part->norms_f32.clear();
   part->mirror_max_abs = 0.0;
-  const bool coded = options.quantized_scan && dim <= 60000 &&
-                     rows > 0 && rows >= options.quantized_min_rows;
+  const bool coded = options_.quantized_scan && dim <= 60000 &&
+                     rows > 0 && rows >= options_.quantized_min_rows;
   if (!coded && rows > 0 &&
-      ResolveExactPrecision(options.exact_precision) ==
+      ResolveExactPrecision(options_.exact_precision) ==
           ExactPrecision::kF32 &&
       part->max_norm_sq < kF32TierNormGate) {
     double max_abs = 0.0;
@@ -200,7 +213,7 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
                        part->norms_f32.data());
   }
   // Quantized tier: code the partition on its own integer grid (8-bit
-  // or nibble-packed 4-bit per options.quant_bits) and *measure* the
+  // or nibble-packed 4-bit per options_.quant_bits) and *measure* the
   // worst reconstruction error — the provable prune leans on this
   // number, not on an analytic half-step bound, so heavy-tailed
   // columns can only cost pruning power, not correctness. The integer
@@ -212,9 +225,9 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   part->quant_scale = 0.0;
   part->quant_err_sq = 0.0;
   part->quant_box_sq = 0.0;
-  part->quant_bits = static_cast<uint8_t>(options.quant_bits);
-  const bool quantizable = options.quantized_scan && dim <= 60000;
-  if (!quantizable || rows == 0 || rows < options.quantized_min_rows) {
+  part->quant_bits = static_cast<uint8_t>(options_.quant_bits);
+  const bool quantizable = options_.quantized_scan && dim <= 60000;
+  if (!quantizable || rows == 0 || rows < options_.quantized_min_rows) {
     // Uncoded: the exact scan reads the tiled copy (DESIGN.md §19).
     part->PackTiles(dim);
     return;
@@ -261,64 +274,51 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   }
 }
 
-void IndexPartitionSet::Partition::PackTiles(size_t dim) {
+void FeatureIndex::Partition::PackTiles(size_t dim) {
   tiles.resize(L2TilesSize(size(), dim));
   PackL2Tiles(block.data(), size(), dim, tiles.data());
 }
 
-void IndexPartitionSet::RefreshDerived() {
+void FeatureIndex::RefreshDerived() {
   max_partition_size_ = 0;
-  num_rows_ = 0;
   for (const Partition& part : partitions_) {
     max_partition_size_ = std::max(max_partition_size_, part.size());
-    num_rows_ += part.size();
   }
 }
 
-Status IndexPartitionSet::Pack(const MotionDatabase& database,
-                               const Matrix& references,
-                               const std::vector<std::vector<size_t>>& members,
-                               const FeatureIndexOptions& options) {
-  const size_t n = database.size();
-  const size_t d = database.feature_dimension();
-  if (options.quant_bits != 8 && options.quant_bits != 4) {
+Status FeatureIndex::Pack(Matrix references,
+                          const std::vector<std::vector<size_t>>& members) {
+  const size_t d = database_->feature_dimension();
+  if (options_.quant_bits != 8 && options_.quant_bits != 4) {
     return Status::InvalidArgument(
         "quant_bits must be 8 or 4, got " +
-        std::to_string(options.quant_bits));
+        std::to_string(options_.quant_bits));
   }
-  if (references.rows() != members.size() ||
-      (members.size() > 0 && references.cols() != d)) {
-    return Status::InvalidArgument("layout shape mismatch");
+  if (members.size() >= std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "partition count overflows the record map");
   }
-  for (const auto& list : members) {
-    if (list.empty()) {
-      return Status::InvalidArgument("empty partition in layout");
-    }
-    for (size_t j = 0; j < list.size(); ++j) {
-      if (list[j] >= n || (j > 0 && list[j] <= list[j - 1])) {
-        return Status::InvalidArgument(
-            "partition members must be ascending record indices");
-      }
-    }
-  }
-  references_ = references;
+  references_ = std::move(references);
   partitions_.assign(members.size(), Partition{});
+  record_to_partition_.assign(database_->size(), 0);
   for (size_t i = 0; i < members.size(); ++i) {
     partitions_[i].record_indices = members[i];
+    for (size_t rec : members[i]) {
+      record_to_partition_[rec] = static_cast<uint32_t>(i);
+    }
   }
   // Partitions fill independently (radius, block, norms, codes are pure
   // functions of the partition's own rows), so the packing pass
   // parallelizes per partition with bit-identical results at any
   // thread count.
-  const double* packed = database.packed_features().data();
-  ParallelOptions per_partition = options.parallel;
+  const double* packed = database_->packed_features().data();
+  ParallelOptions per_partition = options_.parallel;
   per_partition.grain = 1;
   Status st = ParallelFor(
       partitions_.size(),
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          FillPartition(packed, d, references_.RowPtr(i), options,
-                        &partitions_[i]);
+          FillPartition(packed, d, references_.RowPtr(i), &partitions_[i]);
         }
         return Status::OK();
       },
@@ -328,26 +328,7 @@ Status IndexPartitionSet::Pack(const MotionDatabase& database,
   return Status::OK();
 }
 
-Status IndexPartitionSet::RefreshPartition(const MotionDatabase& database,
-                                           size_t partition,
-                                           const FeatureIndexOptions& options) {
-  if (partition >= partitions_.size()) {
-    return Status::InvalidArgument("partition out of range");
-  }
-  const size_t d = database.feature_dimension();
-  Partition& part = partitions_[partition];
-  if (!part.record_indices.empty() &&
-      part.record_indices.back() >= database.size()) {
-    return Status::FailedPrecondition(
-        "partition references records beyond the database");
-  }
-  FillPartition(database.packed_features().data(), d,
-                references_.RowPtr(partition), options, &part);
-  RefreshDerived();
-  return Status::OK();
-}
-
-IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
+FeatureIndex::CoarsePrep FeatureIndex::PrepCoarse(
     const double* query, double q_sq, size_t dim, const Partition& part,
     Scratch* scratch) const {
   // Clamp the query onto the partition's grid box, dimension by
@@ -384,12 +365,12 @@ IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
   return prep;
 }
 
-void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
-                                     const Partition& part, size_t start,
-                                     const uint32_t* ssd,
-                                     const CoarsePrep& prep,
-                                     BoundedTopK* top,
-                                     IndexQueryStats* stats) const {
+void FeatureIndex::SelectCoarse(const double* query, size_t dim,
+                                const Partition& part, size_t start,
+                                const uint32_t* ssd,
+                                const CoarsePrep& prep,
+                                BoundedTopK* top,
+                                IndexQueryStats* stats) const {
   // Integer prune threshold, recomputed only when the k-th best
   // moves: with t_rem = √max(0, kth + 2·slack − out²) the remaining
   // in-box budget, prune iff scale·√D − q_res − err > t_rem, i.e.
@@ -423,10 +404,10 @@ void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
   }
 }
 
-void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
-                                    size_t dim, const Partition& part,
-                                    BoundedTopK* top, Scratch* scratch,
-                                    IndexQueryStats* stats) const {
+void FeatureIndex::VisitCoarse(const double* query, double q_sq,
+                               size_t dim, const Partition& part,
+                               BoundedTopK* top, Scratch* scratch,
+                               IndexQueryStats* stats) const {
   // Coarse tier. The prune needs a k-th best to compare against, so
   // first seed the heap with exact evaluations (only the very first
   // visited partition ever does this), then score the remaining rows
@@ -471,11 +452,11 @@ void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
                stats);
 }
 
-void IndexPartitionSet::RefinePush(const double* query, size_t dim,
-                                   const Partition& part,
-                                   const std::vector<uint32_t>& ridx,
-                                   std::vector<double>* rdist,
-                                   BoundedTopK* top) const {
+void FeatureIndex::RefinePush(const double* query, size_t dim,
+                              const Partition& part,
+                              const std::vector<uint32_t>& ridx,
+                              std::vector<double>* rdist,
+                              BoundedTopK* top) const {
   const size_t n = ridx.size();
   if (n == 0) return;
   rdist->resize(n);
@@ -486,9 +467,9 @@ void IndexPartitionSet::RefinePush(const double* query, size_t dim,
   }
 }
 
-void IndexPartitionSet::PushTiled(const double* query, size_t dim,
-                                  const Partition& part, double* dist,
-                                  BoundedTopK* top) const {
+void FeatureIndex::PushTiled(const double* query, size_t dim,
+                             const Partition& part, double* dist,
+                             BoundedTopK* top) const {
   // Every row is scored exactly, so a row enters the heap iff BoundedTopK
   // keeps it; the test below only skips the pushes that would be
   // rejected anyway (a tie at the k-th best still goes in, and the
@@ -500,10 +481,10 @@ void IndexPartitionSet::PushTiled(const double* query, size_t dim,
   }
 }
 
-void IndexPartitionSet::ScanExact(const std::vector<double>& query,
-                                  double q_sq, BoundedTopK* top,
-                                  Scratch* scratch,
-                                  IndexQueryStats* stats) const {
+void FeatureIndex::ScanExact(const std::vector<double>& query,
+                             double q_sq, BoundedTopK* top,
+                             Scratch* scratch,
+                             IndexQueryStats* stats) const {
   const size_t dim = query.size();
   const size_t p = partitions_.size();
   if (p == 0) return;
@@ -616,10 +597,10 @@ void IndexPartitionSet::ScanExact(const std::vector<double>& query,
   }
 }
 
-void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
-                                   double q_sq, BoundedTopK* top,
-                                   double* bound, Scratch* scratch,
-                                   IndexQueryStats* stats) const {
+void FeatureIndex::ScanCoarse(const std::vector<double>& query,
+                              double q_sq, BoundedTopK* top,
+                              double* bound, Scratch* scratch,
+                              IndexQueryStats* stats) const {
   const size_t dim = query.size();
   IndexQueryStats& local = *stats;
 
@@ -636,8 +617,7 @@ void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
   // Unquantized partitions are scanned with the dot-form kernel, whose
   // squared-space error margin adds √margin to the bound. Every
   // quantity here is a pure function of the partition that owns the
-  // rows, so scanning the same partitions split across sets (shards)
-  // pushes the same estimates and raises the same bound.
+  // rows.
   scratch->ssd.resize(max_partition_size_);
   scratch->dist.resize(max_partition_size_);
   for (size_t pi = 0; pi < partitions_.size(); ++pi) {
@@ -684,27 +664,6 @@ void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
   }
 }
 
-bool IndexPartitionSet::AllBeyond(const std::vector<double>& query,
-                                  double kth) const {
-  if (!(kth >= 0.0) || !std::isfinite(kth)) return false;
-  const size_t dim = query.size();
-  // Inflate kth² so floating-point rounding in the sqrt'd cached
-  // distance can only make the test *harder* to pass — a false "all
-  // beyond" would serve a wrong cached answer, a false "not beyond"
-  // only costs a cache miss.
-  const double kth_sq = kth * kth * (1.0 + 1e-9);
-  for (size_t pi = 0; pi < partitions_.size(); ++pi) {
-    const Partition& part = partitions_[pi];
-    const double ref_sq_dist =
-        SquaredL2Dispatched(query.data(), references_.RowPtr(pi), dim);
-    const double gap = ref_sq_dist - part.radius_sq - kth_sq;
-    if (!(gap > 0.0 && gap * gap > 4.0 * part.radius_sq * kth_sq)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Result<FeatureIndex> FeatureIndex::Build(
     const MotionDatabase* database, const FeatureIndexOptions& options) {
   if (database == nullptr) {
@@ -723,19 +682,47 @@ Status FeatureIndex::Rebuild() {
   }
   // Resolve the precision once per build and store the concrete value
   // back, so snapshots and later refreshes see f64/f32, never
-  // "default" (env precedence: env < options < CLI, DESIGN.md §15.4).
+  // "default" (env precedence: env < options, DESIGN.md §15.4).
   options_.exact_precision = ResolveExactPrecision(options_.exact_precision);
   MOCEMG_ASSIGN_OR_RETURN(IndexLayout layout,
                           ComputeIndexLayout(*database_, options_));
   MOCEMG_RETURN_NOT_OK(
-      set_.Pack(*database_, layout.references, layout.members, options_));
+      Pack(std::move(layout.references), layout.members));
+  built_epoch_ = database_->epoch();
+  return Status::OK();
+}
+
+Status FeatureIndex::ApplyUpdate(size_t record_index) {
+  if (database_ == nullptr || partitions_.empty()) {
+    return Status::FailedPrecondition("index is not built");
+  }
+  if (database_->size() != record_to_partition_.size()) {
+    return Status::FailedPrecondition(
+        "the record set changed since the last Rebuild; ApplyUpdate only "
+        "absorbs UpdateFeature mutations — call Rebuild()");
+  }
+  if (record_index >= record_to_partition_.size()) {
+    return Status::InvalidArgument("record index out of range");
+  }
+  if (database_->epoch() != built_epoch_ + 1) {
+    return Status::FailedPrecondition(
+        "ApplyUpdate must run once, in order, after each UpdateFeature "
+        "(database epoch " + std::to_string(database_->epoch()) +
+        ", last applied " + std::to_string(built_epoch_) + ")");
+  }
+  // Membership and reference stay; the partition's rows, norms,
+  // radius and codes are re-derived from the database's current rows.
+  const size_t p = record_to_partition_[record_index];
+  FillPartition(database_->packed_features().data(),
+                database_->feature_dimension(), references_.RowPtr(p),
+                &partitions_[p]);
   built_epoch_ = database_->epoch();
   return Status::OK();
 }
 
 Status FeatureIndex::ValidateQuery(const std::vector<double>& query,
                                    size_t k) const {
-  if (database_ == nullptr || set_.num_partitions() == 0) {
+  if (database_ == nullptr || partitions_.empty()) {
     return Status::FailedPrecondition("index is not built");
   }
   if (database_->epoch() != built_epoch_) {
@@ -776,7 +763,7 @@ std::vector<QueryHit> FeatureIndex::ExactHits(
   const double q_sq = SquaredNorm(query.data(), query.size());
   BoundedTopK& top = scratch->top;
   top.Reset(std::min(k, database_->size()));
-  set_.ScanExact(query, q_sq, &top, scratch, stats);
+  ScanExact(query, q_sq, &top, scratch, stats);
   top.ExtractSorted(&scratch->entries);
   std::vector<QueryHit> out(scratch->entries.size());
   for (size_t i = 0; i < out.size(); ++i) {
@@ -792,7 +779,7 @@ std::vector<QueryHit> FeatureIndex::CoarseHits(
   const double q_sq = SquaredNorm(query.data(), query.size());
   BoundedTopK& top = scratch->top;
   top.Reset(std::min(k, database_->size()));
-  set_.ScanCoarse(query, q_sq, &top, bound, scratch, stats);
+  ScanCoarse(query, q_sq, &top, bound, scratch, stats);
   top.ExtractSorted(&scratch->entries);
   std::vector<QueryHit> out(scratch->entries.size());
   for (size_t i = 0; i < out.size(); ++i) {
@@ -844,7 +831,7 @@ void AccumulateStats(const IndexQueryStats& from, IndexQueryStats* into) {
 // slot per chunk, then combines the stats in ascending chunk order —
 // the fixed-order combine every parallel reduction uses (DESIGN.md
 // §8.1), so the total is identical at any thread count.
-template <typename Scan>
+template <typename Scratch, typename Scan>
 Status ScanBatch(size_t num_queries, const ParallelOptions& parallel,
                  IndexQueryStats* stats, const Scan& scan) {
   std::vector<IndexQueryStats> per_chunk(
@@ -852,7 +839,7 @@ Status ScanBatch(size_t num_queries, const ParallelOptions& parallel,
   MOCEMG_RETURN_NOT_OK(ParallelFor(
       num_queries,
       [&](size_t begin, size_t end, size_t chunk) -> Status {
-        IndexPartitionSet::Scratch scratch;
+        Scratch scratch;
         for (size_t q = begin; q < end; ++q) {
           scan(q, &scratch, &per_chunk[chunk]);
         }
@@ -878,7 +865,7 @@ FeatureIndex::BatchNearestNeighbors(
     const ParallelOptions* parallel_override) const {
   MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
   std::vector<std::vector<QueryHit>> results(queries.size());
-  MOCEMG_RETURN_NOT_OK(ScanBatch(
+  MOCEMG_RETURN_NOT_OK(ScanBatch<Scratch>(
       queries.size(),
       parallel_override != nullptr ? *parallel_override : options_.parallel,
       stats, [&](size_t q, Scratch* scratch, IndexQueryStats* chunk_stats) {
@@ -895,7 +882,7 @@ FeatureIndex::BatchCoarseNearestNeighbors(
   MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
   std::vector<std::vector<QueryHit>> results(queries.size());
   std::vector<double> bounds(queries.size(), 0.0);
-  MOCEMG_RETURN_NOT_OK(ScanBatch(
+  MOCEMG_RETURN_NOT_OK(ScanBatch<Scratch>(
       queries.size(),
       parallel_override != nullptr ? *parallel_override : options_.parallel,
       stats, [&](size_t q, Scratch* scratch, IndexQueryStats* chunk_stats) {

@@ -22,21 +22,16 @@
 /// how much full-precision work is done, never which hits are
 /// reported.
 ///
-/// Since the sharded serving layer (§13) the partition machinery is
-/// split in two: ComputeIndexLayout runs the k-means and produces the
-/// global partition layout (references + memberships), and
-/// IndexPartitionSet packs and scans an arbitrary subset of those
-/// partitions. FeatureIndex is the single-set composition;
-/// ShardedFeatureIndex (sharded_index.h) distributes the same global
-/// layout across N sets. Because every per-record quantity (exact
-/// distance, coarse estimate, prune bound) is a pure function of the
-/// partition that owns the record, regrouping partitions into shards
-/// cannot change any reported hit — that is the §13 bit-identity
-/// argument.
+/// Rebuild runs the seeded k-means (the partition layout) and packs
+/// every partition from the database's rows. ApplyUpdate repacks only
+/// the partition that owns an updated record, through the same packing
+/// routine, so that partition holds exactly the bytes a full pack of
+/// the same membership would.
 ///
-/// Staleness: the index records the database epoch it was built
-/// against; once the database mutates (Insert/UpdateFeature), queries
-/// fail with FailedPrecondition until Rebuild().
+/// Staleness: the index records the database epoch it last absorbed;
+/// once the database mutates (Insert/UpdateFeature), queries fail with
+/// FailedPrecondition until Rebuild(), or — for one UpdateFeature —
+/// until ApplyUpdate() repacks the partition that owns the record.
 
 #ifndef MOCEMG_DB_FEATURE_INDEX_H_
 #define MOCEMG_DB_FEATURE_INDEX_H_
@@ -60,10 +55,9 @@ namespace mocemg {
 /// certified `Float32DotFormErrorBound` margin of the k-th best is
 /// re-evaluated through the double kernels — reported hits stay
 /// bit-identical to the f64 path (and the linear scan) on every
-/// backend, shard count, and thread count. kDefault resolves through
-/// the MOCEMG_EXACT_PRECISION env ("f64"/"f32"; unset or invalid →
-/// f64, invalid warns once); an explicit option always wins over the
-/// env, and the CLI --exact-precision flag wins over both.
+/// backend and thread count. kDefault resolves through the
+/// MOCEMG_EXACT_PRECISION env ("f64"/"f32"; unset or invalid → f64,
+/// invalid warns once); an explicit option always wins over the env.
 enum class ExactPrecision : uint8_t {
   kDefault = 0,  ///< resolve via MOCEMG_EXACT_PRECISION, else f64
   kF64 = 1,      ///< double-only exact scan (the historical behaviour)
@@ -73,7 +67,7 @@ enum class ExactPrecision : uint8_t {
 /// \brief Stable lowercase name ("default", "f64", "f32").
 const char* ExactPrecisionName(ExactPrecision precision);
 
-/// \brief Parses "f64"/"f32"/"default" (as accepted by the env/CLI).
+/// \brief Parses "f64"/"f32"/"default" (as accepted by the env).
 Result<ExactPrecision> ParseExactPrecision(const std::string& name);
 
 /// \brief Resolves kDefault against MOCEMG_EXACT_PRECISION (read once;
@@ -109,7 +103,7 @@ struct FeatureIndexOptions {
   size_t quantized_min_rows = 256;
   /// Exact-tier storage precision (see ExactPrecision above). Resolved
   /// (env applied) at Build/Rebuild and stored back, so snapshots and
-  /// RefreshPartition see the concrete choice, not kDefault. Results
+  /// ApplyUpdate see the concrete choice, not kDefault. Results
   /// are bit-identical at either precision; only bandwidth changes.
   ExactPrecision exact_precision = ExactPrecision::kDefault;
   /// Parallelism for Rebuild's per-partition packing pass and for
@@ -141,33 +135,122 @@ struct IndexQueryStats {
 
 class IndexSnapshotCodec;
 
-/// \brief The global partition layout: k-means references plus each
-/// partition's member records (ascending database order). Empty
-/// partitions are already dropped. Both the single index and every
-/// shard pack from the same layout, which is what makes sharded
-/// results bit-identical to the single scan.
-struct IndexLayout {
-  /// Partition references packed row-major (num_partitions × dim).
-  Matrix references;
-  /// members[i] = the records of partition i, ascending.
-  std::vector<std::vector<size_t>> members;
-};
-
-/// \brief Runs the seeded k-means over the database's packed features
-/// and returns the partition layout. `options.num_partitions` == 0
-/// picks ≈ √N; empty partitions (k-means can strand one on tiny
-/// databases) are dropped. Deterministic in (database bytes, options).
-Result<IndexLayout> ComputeIndexLayout(const MotionDatabase& database,
-                                       const FeatureIndexOptions& options);
-
-/// \brief A packed, scannable set of partitions — the storage + scan
-/// engine behind FeatureIndex (one set holding every partition) and
-/// ShardedFeatureIndex (one set per shard holding a subset). Scans
-/// accumulate into a caller-owned BoundedTopK so per-set results can
-/// be merged in fixed order with the usual (distance, index)
-/// tie-break.
-class IndexPartitionSet {
+/// \brief Exact cluster-pruned kNN index. The index copies each
+/// partition's features into its own packed block at Build/Rebuild;
+/// rebuilding after inserts is the caller's responsibility (Rebuild()),
+/// and an UpdateFeature can be absorbed in place with ApplyUpdate().
+class FeatureIndex {
  public:
+  FeatureIndex() = default;
+
+  /// \brief Builds over the database's current records.
+  static Result<FeatureIndex> Build(const MotionDatabase* database,
+                                    const FeatureIndexOptions& options = {});
+
+  /// \brief Rebuilds over the database's current records (repacks every
+  /// partition block, its norms, and its quantized codes from the
+  /// database's packed features) and adopts the database's current
+  /// epoch.
+  Status Rebuild();
+
+  /// \brief Absorbs exactly one UpdateFeature mutation without a
+  /// rebuild: repacks only the partition that owns `record_index`
+  /// (block row, norms, radius, codes; O(partition) work) and adopts
+  /// the database's epoch. Must be called once, in order, after each
+  /// database UpdateFeature — the database epoch must be exactly one
+  /// past built_epoch(). A record-count change since the last Rebuild
+  /// (Insert) fails with FailedPrecondition and needs Rebuild(). The
+  /// partition layout (references, membership) is kept, so the hits
+  /// stay exact. Mutates the index: quiesce concurrent readers first.
+  Status ApplyUpdate(size_t record_index);
+
+  /// \brief Exact kNN; identical results to the database's linear scan.
+  ///
+  /// The coarse int8 pass (when enabled) prunes records whose
+  /// triangle-inequality lower bound — inflated by the §11.2 error
+  /// slack — provably exceeds the current k-th best; every survivor is
+  /// evaluated with the exact kernels, so the reported hits (indices
+  /// and distances, ties broken toward the smaller record index) are
+  /// bit-identical to the linear scan's. Fails with FailedPrecondition
+  /// when the database has mutated since the last Rebuild.
+  Result<std::vector<QueryHit>> NearestNeighbors(
+      const std::vector<double>& query, size_t k,
+      IndexQueryStats* stats = nullptr) const;
+
+  /// \brief kNN for a batch of queries: the per-query scan of
+  /// NearestNeighbors, parallelized over queries with one scratch per
+  /// chunk. Element i equals NearestNeighbors(queries[i], k) exactly,
+  /// hits and stat contributions alike. Every query is validated
+  /// before any is scanned, so an invalid batch fails with the lowest
+  /// offending slot in the error context. `stats`, when given, is
+  /// accumulated per chunk and combined in ascending chunk order, so
+  /// it (like the hits) is identical at every thread count.
+  /// `parallel_override`, when non-null, replaces the build options'
+  /// ParallelOptions for this call (the query server passes its own
+  /// budget through here).
+  Result<std::vector<std::vector<QueryHit>>> BatchNearestNeighbors(
+      const std::vector<std::vector<double>>& queries, size_t k,
+      IndexQueryStats* stats = nullptr,
+      const ParallelOptions* parallel_override = nullptr) const;
+
+  /// \brief Approximate kNN answered from the int8 coarse tier alone —
+  /// the query server's degraded mode under overload (DESIGN.md §12.2).
+  ///
+  /// Quantized partitions are scored with the integer code distance
+  /// only (1 byte/dim of traffic, no exact re-rank); a hit's reported
+  /// distance is the estimate `out + scale·√D` (out = the query's
+  /// certified out-of-box energy for that partition's grid). Partitions
+  /// without codes (below quantized_min_rows) are scanned with the
+  /// cheap dot-form kernel instead. `error_bound`, when non-null,
+  /// receives a certified absolute bound B such that every reported
+  /// hit's true distance lies within [estimate − B, estimate + B]
+  /// (derivation in DESIGN.md §12.2; B includes the §11.2 float slack).
+  /// Deterministic: partitions are visited in index order with the
+  /// usual (distance, index) tie-break, so the same query yields the
+  /// same degraded answer on every replay. Fails with
+  /// FailedPrecondition when the index is stale, exactly like the
+  /// exact path.
+  Result<std::vector<QueryHit>> CoarseNearestNeighbors(
+      const std::vector<double>& query, size_t k,
+      double* error_bound = nullptr,
+      IndexQueryStats* stats = nullptr) const;
+
+  /// \brief Degraded-mode kNN for a batch of queries, run like
+  /// BatchNearestNeighbors over the per-query coarse scan. Element i
+  /// (and error_bounds[i], when given) equals
+  /// CoarseNearestNeighbors(queries[i], k) exactly at any thread count;
+  /// validation and the stats combine match BatchNearestNeighbors.
+  Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
+      const std::vector<std::vector<double>>& queries, size_t k,
+      std::vector<double>* error_bounds = nullptr,
+      IndexQueryStats* stats = nullptr,
+      const ParallelOptions* parallel_override = nullptr) const;
+
+  size_t num_partitions() const { return partitions_.size(); }
+
+  /// \brief True when at least one partition carries int8 codes — the
+  /// precondition for CoarseNearestNeighbors giving any speedup and
+  /// for the query server's degraded mode.
+  bool has_quantized_tier() const {
+    for (const Partition& p : partitions_) {
+      if (p.quantized()) return true;
+    }
+    return false;
+  }
+
+  /// \brief The database epoch of the last Rebuild or ApplyUpdate;
+  /// queries require database->epoch() to still equal it.
+  uint64_t built_epoch() const { return built_epoch_; }
+
+  /// \brief The options the index was built with (snapshots persist
+  /// them so a reloaded index rebuilds identically).
+  const FeatureIndexOptions& options() const { return options_; }
+
+ private:
+  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
+  /// the private representation verbatim.
+  friend class IndexSnapshotCodec;
+
   struct Partition {
     double radius = 0.0;      ///< covering radius (true distance)
     double radius_sq = 0.0;   ///< radius², for the sqrt-free prune
@@ -242,72 +325,36 @@ class IndexPartitionSet {
     std::vector<TopKEntry> entries;
   };
 
-  /// \brief Packs the given partitions from the database's current
-  /// packed features: per-partition radius, SoA block, squared norms,
-  /// and (when options allow) the int8 quantized tier. `references`
-  /// row i and `members[i]` describe partition i; every member list
-  /// must be non-empty and ascending. Partitions pack independently in
+  /// Adopts a k-means layout (`references` row i and `members[i]`
+  /// describe partition i; each list non-empty and ascending), packs
+  /// every partition from the database's current packed features and
+  /// fills record_to_partition_. Partitions pack independently in
   /// parallel; every stored quantity is a pure function of the
   /// partition's own rows, so the packed bytes are identical at any
   /// thread count.
-  Status Pack(const MotionDatabase& database, const Matrix& references,
-              const std::vector<std::vector<size_t>>& members,
-              const FeatureIndexOptions& options);
+  Status Pack(Matrix references,
+              const std::vector<std::vector<size_t>>& members);
 
-  /// \brief Re-derives one partition's block, norms, radius, and codes
-  /// from the database's *current* rows (membership unchanged) — the
-  /// O(partition) refresh behind ShardedFeatureIndex::ApplyUpdate.
-  Status RefreshPartition(const MotionDatabase& database, size_t partition,
-                          const FeatureIndexOptions& options);
-
-  /// \brief Exact scan of every partition in the set into `top`
-  /// (squared-distance space). Visits partitions in ascending
-  /// distance-to-reference order with the triangle-inequality prune;
-  /// the caller owns Reset()ing the heap. Stats are accumulated (+=).
+  /// Exact scan of every partition into `top` (squared-distance
+  /// space). Visits partitions in ascending distance-to-reference order
+  /// with the triangle-inequality prune; the caller owns Reset()ing the
+  /// heap. Stats are accumulated (+=).
   void ScanExact(const std::vector<double>& query, double q_sq,
                  BoundedTopK* top, Scratch* scratch,
                  IndexQueryStats* stats) const;
-
-  /// \brief Coarse-tier scan of every partition in the set into `top`
-  /// (true-distance estimates, DESIGN.md §12.2). `bound` is raised
-  /// (max) to cover every estimate pushed here; the caller seeds it
-  /// with 0 and takes the max across sets. Stats are accumulated (+=).
+  /// Coarse-tier scan of every partition into `top` (true-distance
+  /// estimates, DESIGN.md §12.2). `bound` is raised (max) to cover
+  /// every estimate pushed; the caller seeds it with 0. Stats are
+  /// accumulated (+=).
   void ScanCoarse(const std::vector<double>& query, double q_sq,
                   BoundedTopK* top, double* bound, Scratch* scratch,
                   IndexQueryStats* stats) const;
 
-  /// \brief True when *every* partition in the set provably contains
-  /// no record closer than `kth` (true-distance space) to the query —
-  /// the same sqrt-free triangle-inequality test the exact scan
-  /// prunes with, evaluated with a conservative inflation of kth so
-  /// rounding can only weaken the claim, never fake it. Used by the
-  /// serving cache to revalidate entries against a mutated shard.
-  bool AllBeyond(const std::vector<double>& query, double kth) const;
-
-  size_t num_partitions() const { return partitions_.size(); }
-  /// Total records across the set's partitions.
-  size_t num_rows() const { return num_rows_; }
-  size_t max_partition_size() const { return max_partition_size_; }
-  bool has_quantized_tier() const {
-    for (const Partition& p : partitions_) {
-      if (p.quantized()) return true;
-    }
-    return false;
-  }
-  const Matrix& references() const { return references_; }
-  const std::vector<Partition>& partitions() const { return partitions_; }
-
- private:
-  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
-  /// the private representation verbatim.
-  friend class IndexSnapshotCodec;
-
   /// Fills everything but record_indices (already set) for one
-  /// partition from the database's packed rows.
+  /// partition from the database's packed rows, under options_.
   void FillPartition(const double* packed, size_t dim,
-                     const double* reference,
-                     const FeatureIndexOptions& options, Partition* part);
-  /// Recomputes num_rows_ / max_partition_size_ after (re)packing.
+                     const double* reference, Partition* part) const;
+  /// Recomputes max_partition_size_ after packing or loading.
   void RefreshDerived();
 
   // Per-(query, partition) building blocks of the scans.
@@ -351,115 +398,6 @@ class IndexPartitionSet {
   void PushTiled(const double* query, size_t dim, const Partition& part,
                  double* dist, BoundedTopK* top) const;
 
-  std::vector<Partition> partitions_;
-  /// Partition references packed row-major (num_partitions × dim) so
-  /// the visit-order pass is one one-to-many kernel call.
-  Matrix references_;
-  size_t max_partition_size_ = 0;
-  size_t num_rows_ = 0;
-};
-
-/// \brief Exact cluster-pruned kNN index. The index copies each
-/// partition's features into its own packed block at Build/Rebuild;
-/// rebuilding after inserts is the caller's responsibility (Rebuild()).
-class FeatureIndex {
- public:
-  FeatureIndex() = default;
-
-  /// \brief Builds over the database's current records.
-  static Result<FeatureIndex> Build(const MotionDatabase* database,
-                                    const FeatureIndexOptions& options = {});
-
-  /// \brief Rebuilds over the database's current records (repacks every
-  /// partition block, its norms, and its quantized codes from the
-  /// database's packed features) and adopts the database's current
-  /// epoch.
-  Status Rebuild();
-
-  /// \brief Exact kNN; identical results to the database's linear scan.
-  ///
-  /// The coarse int8 pass (when enabled) prunes records whose
-  /// triangle-inequality lower bound — inflated by the §11.2 error
-  /// slack — provably exceeds the current k-th best; every survivor is
-  /// evaluated with the exact kernels, so the reported hits (indices
-  /// and distances, ties broken toward the smaller record index) are
-  /// bit-identical to the linear scan's. Fails with FailedPrecondition
-  /// when the database has mutated since the last Rebuild.
-  Result<std::vector<QueryHit>> NearestNeighbors(
-      const std::vector<double>& query, size_t k,
-      IndexQueryStats* stats = nullptr) const;
-
-  /// \brief kNN for a batch of queries: the per-query scan of
-  /// NearestNeighbors, parallelized over queries with one scratch per
-  /// chunk. Element i equals NearestNeighbors(queries[i], k) exactly,
-  /// hits and stat contributions alike. Every query is validated
-  /// before any is scanned, so an invalid batch fails with the lowest
-  /// offending slot in the error context. `stats`, when given, is
-  /// accumulated per chunk and combined in ascending chunk order, so
-  /// it (like the hits) is identical at every thread count.
-  /// `parallel_override`, when non-null, replaces the build options'
-  /// ParallelOptions for this call (the query server passes its own
-  /// budget through here).
-  Result<std::vector<std::vector<QueryHit>>> BatchNearestNeighbors(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      IndexQueryStats* stats = nullptr,
-      const ParallelOptions* parallel_override = nullptr) const;
-
-  /// \brief Approximate kNN answered from the int8 coarse tier alone —
-  /// the query server's degraded mode under overload (DESIGN.md §12.2).
-  ///
-  /// Quantized partitions are scored with the integer code distance
-  /// only (1 byte/dim of traffic, no exact re-rank); a hit's reported
-  /// distance is the estimate `out + scale·√D` (out = the query's
-  /// certified out-of-box energy for that partition's grid). Partitions
-  /// without codes (below quantized_min_rows) are scanned with the
-  /// cheap dot-form kernel instead. `error_bound`, when non-null,
-  /// receives a certified absolute bound B such that every reported
-  /// hit's true distance lies within [estimate − B, estimate + B]
-  /// (derivation in DESIGN.md §12.2; B includes the §11.2 float slack).
-  /// Deterministic: partitions are visited in index order with the
-  /// usual (distance, index) tie-break, so the same query yields the
-  /// same degraded answer on every replay. Fails with
-  /// FailedPrecondition when the index is stale, exactly like the
-  /// exact path.
-  Result<std::vector<QueryHit>> CoarseNearestNeighbors(
-      const std::vector<double>& query, size_t k,
-      double* error_bound = nullptr,
-      IndexQueryStats* stats = nullptr) const;
-
-  /// \brief Degraded-mode kNN for a batch of queries, run like
-  /// BatchNearestNeighbors over the per-query coarse scan. Element i
-  /// (and error_bounds[i], when given) equals
-  /// CoarseNearestNeighbors(queries[i], k) exactly at any thread count;
-  /// validation and the stats combine match BatchNearestNeighbors.
-  Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      std::vector<double>* error_bounds = nullptr,
-      IndexQueryStats* stats = nullptr,
-      const ParallelOptions* parallel_override = nullptr) const;
-
-  size_t num_partitions() const { return set_.num_partitions(); }
-
-  /// \brief True when at least one partition carries int8 codes — the
-  /// precondition for CoarseNearestNeighbors giving any speedup and
-  /// for the query server's degraded mode.
-  bool has_quantized_tier() const { return set_.has_quantized_tier(); }
-
-  /// \brief The database epoch this index was built against; queries
-  /// require database->epoch() to still equal it.
-  uint64_t built_epoch() const { return built_epoch_; }
-
-  /// \brief The options the index was built with (snapshots persist
-  /// them so a reloaded index rebuilds identically).
-  const FeatureIndexOptions& options() const { return options_; }
-
- private:
-  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
-  /// the private representation verbatim.
-  friend class IndexSnapshotCodec;
-
-  using Scratch = IndexPartitionSet::Scratch;
-
   /// The exact path's preconditions (built, fresh epoch, dimension,
   /// k >= 1, finite query) with its exact status messages — shared by
   /// the per-query and batch entry points so an invalid query fails
@@ -482,7 +420,14 @@ class FeatureIndex {
 
   const MotionDatabase* database_ = nullptr;
   FeatureIndexOptions options_;
-  IndexPartitionSet set_;
+  std::vector<Partition> partitions_;
+  /// Partition references packed row-major (num_partitions × dim) so
+  /// the visit-order pass is one one-to-many kernel call.
+  Matrix references_;
+  size_t max_partition_size_ = 0;
+  /// Owning partition of every record present at the last Rebuild (or
+  /// snapshot load) — ApplyUpdate's lookup, 4 bytes per record.
+  std::vector<uint32_t> record_to_partition_;
   uint64_t built_epoch_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -27,17 +28,9 @@ namespace {
 // detected version named. Writers always emit version 3.
 constexpr char kMagic[] = "MOCEMGIX3\n";
 constexpr size_t kMagicLen = sizeof(kMagic) - 1;
-// Sharded snapshots: one manifest + one file per shard, same
-// header discipline per file.
-constexpr char kManifestMagic[] = "MOCEMGSM3\n";
-constexpr char kShardMagic[] = "MOCEMGSH3\n";
-constexpr size_t kShardMagicLen = sizeof(kShardMagic) - 1;
-constexpr size_t kManifestMagicLen = sizeof(kManifestMagic) - 1;
-// 8-byte family prefixes (magic minus version digit and newline), for
+// 8-byte family prefix (magic minus version digit and newline), for
 // version-aware unframing.
 constexpr char kMagicPrefix[] = "MOCEMGIX";
-constexpr char kManifestPrefix[] = "MOCEMGSM";
-constexpr char kShardPrefix[] = "MOCEMGSH";
 constexpr size_t kPrefixLen = 8;
 constexpr int kMinReadVersion = 2;
 constexpr int kWriteVersion = 3;
@@ -188,19 +181,6 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// Wraps a payload in the standard header: magic, payload length,
-/// FNV-1a64 checksum.
-std::string FrameSnapshot(const char* magic, size_t magic_len,
-                          const std::string& payload) {
-  std::string out;
-  out.reserve(magic_len + 16 + payload.size());
-  out.append(magic, magic_len);
-  PutU64(&out, payload.size());
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out += payload;
-  return out;
-}
-
 /// A validated snapshot frame: the format version the file declared
 /// plus its checksummed payload window.
 struct FramedPayload {
@@ -209,40 +189,28 @@ struct FramedPayload {
   uint64_t size = 0;
 };
 
-/// Validates the header of `bytes` against the 8-byte family `prefix`
-/// and returns the declared version plus the payload window. The
-/// version digit is parsed even on rejection, so an old or future file
-/// fails with its *detected* version named (and a regeneration hint)
-/// instead of an opaque magic mismatch. `what` names the file kind in
-/// error messages.
-Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
-                                      const char* prefix,
-                                      const char* what) {
+/// Validates the header of `bytes` and returns the declared version
+/// plus the payload window. The version digit is parsed even on
+/// rejection, so an old or future file fails with its *detected*
+/// version named (and a regeneration hint) instead of an opaque magic
+/// mismatch.
+Result<FramedPayload> UnframeSnapshot(const std::string& bytes) {
   if (bytes.size() < kMagicLen + 16) {
-    return Status::ParseError(std::string(what) +
-                              " shorter than its header");
-  }
-  if (bytes.compare(0, kPrefixLen, prefix, kPrefixLen) != 0 ||
-      bytes[kPrefixLen + 1] != '\n') {
-    return Status::ParseError(std::string(what) +
-                              " magic/version mismatch (expected " +
-                              std::string(prefix) +
-                              static_cast<char>('0' + kWriteVersion) +
-                              ")");
+    return Status::ParseError("index snapshot shorter than its header");
   }
   const char version_digit = bytes[kPrefixLen];
-  if (version_digit < '0' || version_digit > '9') {
-    return Status::ParseError(std::string(what) +
-                              " magic/version mismatch (expected " +
-                              std::string(prefix) +
-                              static_cast<char>('0' + kWriteVersion) +
-                              ")");
+  if (bytes.compare(0, kPrefixLen, kMagicPrefix) != 0 ||
+      bytes[kPrefixLen + 1] != '\n' || version_digit < '0' ||
+      version_digit > '9') {
+    return Status::ParseError(
+        std::string("index snapshot magic/version mismatch (expected ") +
+        kMagicPrefix + static_cast<char>('0' + kWriteVersion) + ")");
   }
   const int version = version_digit - '0';
   if (version < kMinReadVersion || version > kWriteVersion) {
     return Status::ParseError(
-        std::string(what) + " is container version " +
-        std::to_string(version) + "; this reader supports versions " +
+        "index snapshot is container version " + std::to_string(version) +
+        "; this reader supports versions " +
         std::to_string(kMinReadVersion) + ".." +
         std::to_string(kWriteVersion) +
         " — regenerate the snapshot by re-saving the index");
@@ -253,7 +221,7 @@ Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
   const size_t have = bytes.size() - kMagicLen - 16;
   if (have != payload_size) {
     return Status::ParseError(
-        std::string(what) + " truncated: header promises " +
+        "index snapshot truncated: header promises " +
         std::to_string(payload_size) + " payload bytes, file has " +
         std::to_string(have));
   }
@@ -261,7 +229,7 @@ Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
   const uint64_t actual = Fnv1a64(payload, payload_size);
   if (actual != checksum) {
     return Status::ParseError(
-        std::string(what) + " checksum mismatch (stored " +
+        "index snapshot checksum mismatch (stored " +
         std::to_string(checksum) + ", computed " + std::to_string(actual) +
         "): file is corrupted");
   }
@@ -272,40 +240,6 @@ Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
   return out;
 }
 
-/// Atomic write: temporary sibling + rename, the SaveFeatureIndex
-/// protocol shared by every snapshot file.
-Status WriteSnapshotFile(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  MOCEMG_RETURN_NOT_OK(WriteStringToFile(tmp, bytes));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed to rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-std::string ShardFilePath(const std::string& path, size_t shard) {
-  return path + ".shard" + std::to_string(shard);
-}
-
-/// The manifest's parsed contents — everything needed to validate
-/// shard files against this save generation or repack a lost shard
-/// without re-running k-means.
-struct ShardedManifest {
-  uint64_t applied_epoch = 0;
-  uint64_t dim = 0;
-  uint64_t n_records = 0;
-  uint64_t num_shards = 0;
-  uint64_t num_partitions = 0;
-  ShardedIndexOptions options;
-  std::vector<uint64_t> shard_epochs;
-  Matrix references;
-  std::vector<uint32_t> record_to_partition;
-  /// Per shard: (payload size, payload checksum) the shard file must
-  /// match.
-  std::vector<std::pair<uint64_t, uint64_t>> digests;
-};
-
 }  // namespace
 
 /// Friend of FeatureIndex: reads and writes the private representation
@@ -314,8 +248,9 @@ struct ShardedManifest {
 /// epoch).
 class IndexSnapshotCodec {
  public:
-  static void PutPartition(std::string* p,
-                           const IndexPartitionSet::Partition& part) {
+  using Partition = FeatureIndex::Partition;
+
+  static void PutPartition(std::string* p, const Partition& part) {
     PutDouble(p, part.radius);
     PutDouble(p, part.radius_sq);
     PutDouble(p, part.max_norm_sq);
@@ -336,8 +271,7 @@ class IndexSnapshotCodec {
   }
 
   static Status ReadPartition(Reader* r, int version, uint64_t n_records,
-                              uint64_t dim,
-                              IndexPartitionSet::Partition* part) {
+                              uint64_t dim, Partition* part) {
     MOCEMG_ASSIGN_OR_RETURN(part->radius, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->radius_sq, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->max_norm_sq, r->Double());
@@ -421,7 +355,7 @@ class IndexSnapshotCodec {
     std::string p;
     PutU64(&p, index.built_epoch_);
     PutU64(&p, index.database_ ? index.database_->feature_dimension() : 0);
-    PutU64(&p, index.set_.max_partition_size_);
+    PutU64(&p, index.max_partition_size_);
     // Build options, so a reloaded index Rebuild()s identically.
     PutU64(&p, index.options_.num_partitions);
     PutU64(&p, index.options_.seed);
@@ -434,12 +368,12 @@ class IndexSnapshotCodec {
     PutU64(&p, index.options_.parallel.max_threads);
     PutU64(&p, index.options_.parallel.grain);
     // Packed references.
-    PutU64(&p, index.set_.references_.rows());
-    PutU64(&p, index.set_.references_.cols());
-    PutDoubles(&p, index.set_.references_.data());
+    PutU64(&p, index.references_.rows());
+    PutU64(&p, index.references_.cols());
+    PutDoubles(&p, index.references_.data());
     // Partitions, in index order.
-    PutU64(&p, index.set_.partitions_.size());
-    for (const IndexPartitionSet::Partition& part : index.set_.partitions_) {
+    PutU64(&p, index.partitions_.size());
+    for (const Partition& part : index.partitions_) {
       PutPartition(&p, part);
     }
     return p;
@@ -460,8 +394,9 @@ class IndexSnapshotCodec {
           " does not match database dimension " +
           std::to_string(database->feature_dimension()));
     }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t max_part, r.U64());
-    index.set_.max_partition_size_ = static_cast<size_t>(max_part);
+    // max_partition_size: kept in the format for stability, but
+    // recomputed below (RefreshDerived) instead of trusted.
+    MOCEMG_RETURN_NOT_OK(r.U64().status());
     MOCEMG_ASSIGN_OR_RETURN(uint64_t num_parts_opt, r.U64());
     index.options_.num_partitions = static_cast<size_t>(num_parts_opt);
     MOCEMG_ASSIGN_OR_RETURN(index.options_.seed, r.U64());
@@ -513,309 +448,47 @@ class IndexSnapshotCodec {
     if (refs.size() != ref_rows * ref_cols) {
       return Status::ParseError("index snapshot references size mismatch");
     }
-    index.set_.references_ = Matrix(static_cast<size_t>(ref_rows),
-                                    static_cast<size_t>(ref_cols));
-    index.set_.references_.mutable_data() = std::move(refs);
+    index.references_ = Matrix(static_cast<size_t>(ref_rows),
+                               static_cast<size_t>(ref_cols));
+    index.references_.mutable_data() = std::move(refs);
 
     MOCEMG_ASSIGN_OR_RETURN(uint64_t num_partitions, r.U64());
     if (num_partitions != ref_rows) {
       return Status::ParseError(
           "index snapshot partition count does not match references");
     }
-    index.set_.partitions_.resize(static_cast<size_t>(num_partitions));
-    for (IndexPartitionSet::Partition& part : index.set_.partitions_) {
+    // The record → partition map ApplyUpdate needs, built while the
+    // partitions are read: a record listed twice, or not at all, would
+    // answer queries wrongly (a duplicate can crowd a true neighbour
+    // out of the top k), so either fails the load.
+    constexpr uint32_t kUnlisted = std::numeric_limits<uint32_t>::max();
+    index.record_to_partition_.assign(static_cast<size_t>(n_records),
+                                      kUnlisted);
+    index.partitions_.resize(static_cast<size_t>(num_partitions));
+    for (size_t pi = 0; pi < index.partitions_.size(); ++pi) {
+      Partition& part = index.partitions_[pi];
       MOCEMG_RETURN_NOT_OK(
           ReadPartition(&r, version, n_records, dim, &part));
+      for (size_t rec : part.record_indices) {
+        if (index.record_to_partition_[rec] != kUnlisted) {
+          return Status::ParseError(
+              "index snapshot lists record " + std::to_string(rec) +
+              " more than once");
+        }
+        index.record_to_partition_[rec] = static_cast<uint32_t>(pi);
+      }
     }
     if (!r.exhausted()) {
       return Status::ParseError("index snapshot has trailing bytes");
     }
-    // num_rows_ / max_partition_size_ are derivable; recompute instead
-    // of trusting the payload (the stored max_partition_size field is
-    // kept for format stability).
-    index.set_.RefreshDerived();
-    return index;
-  }
-
-  // --- sharded snapshots --------------------------------------------
-
-  static std::string SerializeShard(const ShardedFeatureIndex& index,
-                                    size_t shard) {
-    std::string p;
-    PutU64(&p, shard);
-    PutU64(&p, index.shard_epochs_[shard]);
-    const IndexPartitionSet& set = index.shards_[shard];
-    PutU64(&p, set.partitions_.size());
-    for (const IndexPartitionSet::Partition& part : set.partitions_) {
-      PutPartition(&p, part);
-    }
-    return p;
-  }
-
-  static std::string SerializeManifest(
-      const ShardedFeatureIndex& index,
-      const std::vector<std::pair<uint64_t, uint64_t>>& digests) {
-    std::string p;
-    PutU64(&p, index.applied_epoch_);
-    PutU64(&p, index.database_->feature_dimension());
-    PutU64(&p, index.record_to_partition_.size());
-    PutU64(&p, index.shards_.size());
-    // Build options, so a fallback rebuild reproduces the same index.
-    PutU64(&p, index.options_.index.num_partitions);
-    PutU64(&p, index.options_.index.seed);
-    PutU64(&p, index.options_.index.quantized_scan ? 1 : 0);
-    PutU64(&p, index.options_.index.quantized_min_rows);
-    PutU64(&p, index.options_.index.quant_bits);
-    PutU64(&p,
-           static_cast<uint64_t>(index.options_.index.exact_precision));
-    PutU64(&p, index.options_.index.parallel.max_threads);
-    PutU64(&p, index.options_.index.parallel.grain);
-    PutU64(&p, index.options_.num_shards);
-    for (uint64_t e : index.shard_epochs_) PutU64(&p, e);
-    // The global layout: references in global partition order plus
-    // every record's owning partition — enough to repack any shard
-    // without re-running k-means (shard ownership is p mod N).
-    PutU64(&p, index.global_references_.rows());
-    PutU64(&p, index.global_references_.cols());
-    PutDoubles(&p, index.global_references_.data());
-    PutU64(&p, index.record_to_partition_.size());
-    for (uint32_t v : index.record_to_partition_) PutU64(&p, v);
-    for (const auto& [size, checksum] : digests) {
-      PutU64(&p, size);
-      PutU64(&p, checksum);
-    }
-    return p;
-  }
-
-  static Result<ShardedManifest> ParseManifest(
-      const char* payload, size_t size, int version,
-      const MotionDatabase* database) {
-    Reader r(payload, size);
-    ShardedManifest m;
-    MOCEMG_ASSIGN_OR_RETURN(m.applied_epoch, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(m.dim, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(m.n_records, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(m.num_shards, r.U64());
-    if (m.dim != database->feature_dimension()) {
-      return Status::ParseError(
-          "sharded index manifest dimension " + std::to_string(m.dim) +
-          " does not match database dimension " +
-          std::to_string(database->feature_dimension()));
-    }
-    if (m.n_records != database->size()) {
-      return Status::ParseError(
-          "sharded index manifest covers " + std::to_string(m.n_records) +
-          " records but the database has " +
-          std::to_string(database->size()));
-    }
-    if (m.num_shards == 0 || m.num_shards > 65536) {
-      return Status::ParseError("sharded index manifest shard count invalid");
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t num_parts_opt, r.U64());
-    m.options.index.num_partitions = static_cast<size_t>(num_parts_opt);
-    MOCEMG_ASSIGN_OR_RETURN(m.options.index.seed, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qscan, r.U64());
-    m.options.index.quantized_scan = qscan != 0;
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qmin, r.U64());
-    m.options.index.quantized_min_rows = static_cast<size_t>(qmin);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qbits, r.U64());
-    if (qbits != 8 && qbits != 4) {
-      return Status::ParseError(
-          "sharded index manifest carries quantized code width " +
-          std::to_string(qbits) + " bits; this reader supports 8 or 4");
-    }
-    m.options.index.quant_bits = static_cast<size_t>(qbits);
-    if (version >= 3) {
-      MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
-      if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
-          precision != static_cast<uint64_t>(ExactPrecision::kF32)) {
-        return Status::ParseError(
-            "sharded index manifest carries exact precision tag " +
-            std::to_string(precision) + "; this reader supports f64 (1) "
-            "or f32 (2)");
-      }
-      m.options.index.exact_precision =
-          static_cast<ExactPrecision>(precision);
-    } else {
-      m.options.index.exact_precision = ExactPrecision::kF64;
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t threads, r.U64());
-    m.options.index.parallel.max_threads = static_cast<size_t>(threads);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t grain, r.U64());
-    m.options.index.parallel.grain = static_cast<size_t>(grain);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t shards_opt, r.U64());
-    m.options.num_shards = static_cast<size_t>(shards_opt);
-    m.shard_epochs.resize(m.num_shards);
-    for (uint64_t& e : m.shard_epochs) {
-      MOCEMG_ASSIGN_OR_RETURN(e, r.U64());
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t ref_rows, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t ref_cols, r.U64());
-    if (ref_cols != m.dim || ref_rows > m.n_records) {
-      return Status::ParseError(
-          "sharded index manifest references shape invalid");
-    }
-    m.num_partitions = ref_rows;
-    MOCEMG_ASSIGN_OR_RETURN(std::vector<double> refs,
-                            r.Doubles(ref_rows * ref_cols));
-    if (refs.size() != ref_rows * ref_cols) {
-      return Status::ParseError(
-          "sharded index manifest references size mismatch");
-    }
-    m.references = Matrix(static_cast<size_t>(ref_rows),
-                          static_cast<size_t>(ref_cols));
-    m.references.mutable_data() = std::move(refs);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t map_len, r.U64());
-    if (map_len != m.n_records) {
-      return Status::ParseError(
-          "sharded index manifest record map length mismatch");
-    }
-    m.record_to_partition.resize(static_cast<size_t>(map_len));
-    for (uint32_t& v : m.record_to_partition) {
-      MOCEMG_ASSIGN_OR_RETURN(uint64_t x, r.U64());
-      if (x >= m.num_partitions) {
-        return Status::ParseError(
-            "sharded index manifest record maps to a partition out of "
-            "range");
-      }
-      v = static_cast<uint32_t>(x);
-    }
-    m.digests.resize(m.num_shards);
-    for (auto& [dsize, dsum] : m.digests) {
-      MOCEMG_ASSIGN_OR_RETURN(dsize, r.U64());
-      MOCEMG_ASSIGN_OR_RETURN(dsum, r.U64());
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError(
-          "sharded index manifest has trailing bytes");
-    }
-    return m;
-  }
-
-  /// Loads and validates one shard file against the manifest — magic,
-  /// length, checksum, the manifest's recorded digest (a shard file
-  /// from another save generation fails here), the shard id, its
-  /// epoch, and the exact membership the manifest's record map
-  /// derives. On success installs the partitions into `set`.
-  static Status LoadShardInto(
-      const std::string& path, size_t shard, const ShardedManifest& m,
-      const Matrix& shard_refs,
-      const std::vector<std::vector<size_t>>& shard_members,
-      IndexPartitionSet* set) {
-    MOCEMG_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-    MOCEMG_ASSIGN_OR_RETURN(
-        FramedPayload window,
-        UnframeSnapshot(bytes, kShardPrefix, "shard snapshot"));
-    // The digest covers the payload bytes, mirror blocks included — a
-    // shard file from another save generation (or another container
-    // version) fails here before any of its fields are trusted.
-    if (window.size != m.digests[shard].first ||
-        Fnv1a64(window.payload, window.size) != m.digests[shard].second) {
-      return Status::ParseError(
-          "shard snapshot does not match the manifest's digest (stale "
-          "or cross-generation file)");
-    }
-    Reader r(window.payload, window.size);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t id, r.U64());
-    if (id != shard) {
-      return Status::ParseError("shard snapshot carries the wrong shard id");
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t epoch, r.U64());
-    if (epoch != m.shard_epochs[shard]) {
-      return Status::ParseError(
-          "shard snapshot epoch does not match the manifest");
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t num_local, r.U64());
-    if (num_local != shard_members.size()) {
-      return Status::ParseError(
-          "shard snapshot partition count does not match the manifest "
-          "layout");
-    }
-    std::vector<IndexPartitionSet::Partition> parts(
-        static_cast<size_t>(num_local));
-    for (size_t i = 0; i < parts.size(); ++i) {
-      MOCEMG_RETURN_NOT_OK(
-          ReadPartition(&r, window.version, m.n_records, m.dim,
-                        &parts[i]));
-      if (parts[i].record_indices != shard_members[i]) {
-        return Status::ParseError(
-            "shard snapshot membership does not match the manifest "
-            "layout");
+    for (size_t rec = 0; rec < index.record_to_partition_.size(); ++rec) {
+      if (index.record_to_partition_[rec] == kUnlisted) {
+        return Status::ParseError("index snapshot leaves record " +
+                                  std::to_string(rec) +
+                                  " out of every partition");
       }
     }
-    if (!r.exhausted()) {
-      return Status::ParseError("shard snapshot has trailing bytes");
-    }
-    set->references_ = shard_refs;
-    set->partitions_ = std::move(parts);
-    set->RefreshDerived();
-    return Status::OK();
-  }
-
-  /// Builds a ShardedFeatureIndex from a parsed manifest, loading each
-  /// shard file and — when `allow_repack` and the manifest is fresh —
-  /// repacking any shard that fails validation from the manifest's
-  /// layout (bit-identical to the lost shard, since packing is a pure
-  /// function of layout + database rows).
-  static Result<ShardedFeatureIndex> AssembleSharded(
-      const ShardedManifest& m, const MotionDatabase* database,
-      const std::string& path, bool allow_repack,
-      ShardedSnapshotLoadInfo* info) {
-    // Derive every partition's membership from the record map once.
-    std::vector<std::vector<size_t>> members(
-        static_cast<size_t>(m.num_partitions));
-    for (size_t rec = 0; rec < m.record_to_partition.size(); ++rec) {
-      members[m.record_to_partition[rec]].push_back(rec);
-    }
-    for (size_t p = 0; p < members.size(); ++p) {
-      if (members[p].empty()) {
-        return Status::ParseError(
-            "sharded index manifest has an empty partition");
-      }
-    }
-    ShardedFeatureIndex index;
-    index.database_ = database;
-    index.options_ = m.options;
-    index.applied_epoch_ = m.applied_epoch;
-    index.shard_epochs_ = m.shard_epochs;
-    index.record_to_partition_ = m.record_to_partition;
-    index.global_references_ = m.references;
-    index.shards_.assign(static_cast<size_t>(m.num_shards),
-                         IndexPartitionSet{});
-    for (size_t s = 0; s < index.shards_.size(); ++s) {
-      Matrix refs(0, static_cast<size_t>(m.dim));
-      std::vector<std::vector<size_t>> shard_members;
-      for (size_t p = s; p < members.size(); p += index.shards_.size()) {
-        MOCEMG_RETURN_NOT_OK(
-            refs.AppendRows(m.references.RowSlice(p, p + 1)));
-        shard_members.push_back(members[p]);
-      }
-      Status st = LoadShardInto(ShardFilePath(path, s), s, m, refs,
-                                shard_members, &index.shards_[s]);
-      if (st.ok()) continue;
-      if (!allow_repack) {
-        return st.WithContext("loading shard " + std::to_string(s) +
-                              " of " + path);
-      }
-      // Partial recovery: the manifest is fresh (the caller checked
-      // the applied epoch against the database), so repacking from the
-      // database's current rows reproduces exactly the bytes the lost
-      // shard file held.
-      MOCEMG_LOG(kWarning)
-          << "shard " << s << " of " << path
-          << " unusable, repacking from the manifest layout: "
-          << st.ToString();
-      MOCEMG_RETURN_NOT_OK(index.shards_[s].Pack(*database, refs,
-                                                 shard_members,
-                                                 m.options.index));
-      if (info != nullptr) {
-        info->rebuilt_shards.push_back(s);
-        if (info->fallback_reason.empty()) {
-          info->fallback_reason = "shard " + std::to_string(s) + ": " +
-                                  st.ToString();
-        }
-      }
-    }
+    index.RefreshDerived();
     return index;
   }
 };
@@ -848,7 +521,7 @@ Result<FeatureIndex> DeserializeFeatureIndexDetecting(
   }
   MOCEMG_ASSIGN_OR_RETURN(
       FramedPayload window,
-      UnframeSnapshot(bytes, kMagicPrefix, "index snapshot"));
+      UnframeSnapshot(bytes));
   if (detected_version != nullptr) *detected_version = window.version;
   return IndexSnapshotCodec::Deserialize(window.payload, window.size,
                                          window.version, database);
@@ -922,119 +595,6 @@ Result<FeatureIndex> LoadOrRebuildFeatureIndex(
                        << out->fallback_reason;
   MOCEMG_ASSIGN_OR_RETURN(FeatureIndex rebuilt,
                           FeatureIndex::Build(database, rebuild_options));
-  out->rebuilt = true;
-  return rebuilt;
-}
-
-Status SaveShardedFeatureIndex(const ShardedFeatureIndex& index,
-                               const std::string& path) {
-  if (index.num_shards() == 0 || index.num_partitions() == 0) {
-    return Status::FailedPrecondition(
-        "cannot snapshot a sharded index that has not been built");
-  }
-  // Shard files first, manifest last: a crash mid-save leaves the old
-  // manifest in charge, and any shard file it no longer matches fails
-  // its digest check at load and repacks.
-  std::vector<std::pair<uint64_t, uint64_t>> digests;
-  digests.reserve(index.num_shards());
-  for (size_t s = 0; s < index.num_shards(); ++s) {
-    const std::string payload = IndexSnapshotCodec::SerializeShard(index, s);
-    digests.emplace_back(payload.size(),
-                         Fnv1a64(payload.data(), payload.size()));
-    MOCEMG_RETURN_NOT_OK(WriteSnapshotFile(
-        ShardFilePath(path, s),
-        FrameSnapshot(kShardMagic, kShardMagicLen, payload)));
-  }
-  const std::string manifest =
-      IndexSnapshotCodec::SerializeManifest(index, digests);
-  return WriteSnapshotFile(
-      path, FrameSnapshot(kManifestMagic, kManifestMagicLen, manifest));
-}
-
-Result<ShardedFeatureIndex> LoadShardedFeatureIndex(
-    const std::string& path, const MotionDatabase* database) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("database must not be null");
-  }
-  MOCEMG_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  auto window =
-      UnframeSnapshot(bytes, kManifestPrefix, "sharded index manifest");
-  if (!window.ok()) {
-    return window.status().WithContext("loading sharded index manifest " +
-                                       path);
-  }
-  if (window->version < kWriteVersion) {
-    MOCEMG_LOG(kWarning)
-        << "sharded index manifest " << path << " is container version "
-        << window->version << " (pre-fp32-mirror); loaded with "
-        << "exact_precision=f64 — re-save it to regenerate version-"
-        << kWriteVersion << " files and enable the fp32 exact tier";
-  }
-  auto manifest = IndexSnapshotCodec::ParseManifest(
-      window->payload, window->size, window->version, database);
-  if (!manifest.ok()) {
-    return manifest.status().WithContext("loading sharded index manifest " +
-                                         path);
-  }
-  return IndexSnapshotCodec::AssembleSharded(*manifest, database, path,
-                                             /*allow_repack=*/false,
-                                             nullptr);
-}
-
-Result<ShardedFeatureIndex> LoadOrRebuildShardedFeatureIndex(
-    const std::string& path, const MotionDatabase* database,
-    const ShardedIndexOptions& rebuild_options,
-    ShardedSnapshotLoadInfo* info) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("database must not be null");
-  }
-  ShardedSnapshotLoadInfo local;
-  ShardedSnapshotLoadInfo* out = info ? info : &local;
-  *out = ShardedSnapshotLoadInfo{};
-
-  // The manifest must be readable, valid, and *fresh* (applied epoch ==
-  // database epoch) for the per-shard recovery path to be sound — a
-  // repacked shard takes its bytes from the database's current rows.
-  Result<ShardedFeatureIndex> attempt = [&]() -> Result<ShardedFeatureIndex> {
-    MOCEMG_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-    MOCEMG_ASSIGN_OR_RETURN(
-        FramedPayload window,
-        UnframeSnapshot(bytes, kManifestPrefix,
-                        "sharded index manifest"));
-    if (window.version < kWriteVersion) {
-      MOCEMG_LOG(kWarning)
-          << "sharded index manifest " << path
-          << " is container version " << window.version
-          << " (pre-fp32-mirror); loaded with exact_precision=f64 — "
-          << "re-save it to regenerate version-" << kWriteVersion
-          << " files and enable the fp32 exact tier";
-    }
-    MOCEMG_ASSIGN_OR_RETURN(
-        ShardedManifest manifest,
-        IndexSnapshotCodec::ParseManifest(window.payload, window.size,
-                                          window.version, database));
-    if (manifest.applied_epoch != database->epoch()) {
-      return Status::FailedPrecondition(
-          "manifest applied epoch " +
-          std::to_string(manifest.applied_epoch) +
-          " but database is at epoch " +
-          std::to_string(database->epoch()));
-    }
-    return IndexSnapshotCodec::AssembleSharded(manifest, database, path,
-                                               /*allow_repack=*/true, out);
-  }();
-  if (attempt.ok()) {
-    out->loaded_from_snapshot = out->rebuilt_shards.empty();
-    return attempt;
-  }
-  out->rebuilt_shards.clear();
-  out->fallback_reason = attempt.status().ToString();
-  MOCEMG_LOG(kWarning) << "sharded index snapshot " << path
-                       << " unusable, rebuilding from database: "
-                       << out->fallback_reason;
-  MOCEMG_ASSIGN_OR_RETURN(
-      ShardedFeatureIndex rebuilt,
-      ShardedFeatureIndex::Build(database, rebuild_options));
   out->rebuilt = true;
   return rebuilt;
 }

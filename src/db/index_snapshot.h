@@ -1,5 +1,6 @@
 /// \file index_snapshot.h
-/// \brief Crash-safe persistence for a built FeatureIndex.
+/// \brief Crash-safe persistence for the one serving index, a built
+/// FeatureIndex, as a single snapshot file.
 ///
 /// A FeatureIndex over millions of records takes seconds to minutes to
 /// rebuild (k-means + SoA packing + quantization); losing it to a
@@ -12,13 +13,16 @@
 /// bit-identically: a loaded index answers every query with exactly
 /// the bytes the saved one would have produced.
 ///
-/// Format ("MOCEMGIX2", little-endian, DESIGN.md §12.3): a fixed
-/// header carrying the magic, the payload byte count, and an FNV-1a64
-/// checksum of the payload, then the payload itself. Truncation is
-/// caught by the length check, any in-place corruption by the
-/// checksum, format drift by the magic/version — each with a distinct
-/// ParseError so operators can tell a half-written file from a
-/// bit-rotted one. SaveFeatureIndex writes to a temporary sibling and
+/// Format ("MOCEMGIX3", little-endian, DESIGN.md §12.3; version-2
+/// files are still read): a fixed header carrying the magic, the
+/// payload byte count, and an FNV-1a64 checksum of the payload, then
+/// the payload itself. Truncation is caught by the length check, any
+/// in-place corruption by the checksum, format drift by the
+/// magic/version — each with a distinct ParseError so operators can
+/// tell a half-written file from a bit-rotted one. A payload that
+/// passes the checksum because it was *written* wrong is held to the
+/// same shape checks: every count is bounded, and the partitions must
+/// list every database record exactly once. SaveFeatureIndex writes to a temporary sibling and
 /// commits with an atomic rename, so a crash mid-save can never leave
 /// a torn file at the target path (the model_io convention, hardened).
 ///
@@ -31,13 +35,10 @@
 #ifndef MOCEMG_DB_INDEX_SNAPSHOT_H_
 #define MOCEMG_DB_INDEX_SNAPSHOT_H_
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "db/feature_index.h"
 #include "db/motion_database.h"
-#include "db/sharded_index.h"
 #include "util/result.h"
 
 namespace mocemg {
@@ -58,8 +59,8 @@ Result<std::string> SerializeFeatureIndex(const FeatureIndex& index);
 
 /// \brief Reconstructs an index over `database` from snapshot bytes.
 /// Validates magic/version, length (truncation), checksum (corruption),
-/// and shape against the database (dimension, record indices in
-/// range). The loaded index keeps the snapshot's built_epoch; if the
+/// and shape against the database (dimension, record indices in range,
+/// every record in exactly one partition). The loaded index keeps the snapshot's built_epoch; if the
 /// database has mutated past it, queries fail with FailedPrecondition
 /// exactly as after any other mutation — staleness is not hidden by
 /// the load. `database` must outlive the returned index.
@@ -81,68 +82,11 @@ Result<FeatureIndex> LoadFeatureIndex(const std::string& path,
 /// the file is missing, truncated, corrupted, shape-invalid, or stale
 /// relative to the database epoch — log the reason and rebuild from
 /// the database with `rebuild_options`. `info`, when given, reports
-/// which path was taken and why (the serve CLI and the server's
-/// snapshot counters consume it).
+/// which path was taken and why.
 Result<FeatureIndex> LoadOrRebuildFeatureIndex(
     const std::string& path, const MotionDatabase* database,
     const FeatureIndexOptions& rebuild_options = {},
     IndexSnapshotLoadInfo* info = nullptr);
-
-// --- sharded snapshots (DESIGN.md §13.4) ----------------------------
-//
-// A ShardedFeatureIndex persists as a checksummed *manifest* at `path`
-// ("MOCEMGSM2") plus one checksummed file per shard at
-// `path + ".shard<i>"` ("MOCEMGSH2"). The manifest carries everything
-// needed to repack any shard without re-running k-means: the applied
-// and per-shard epochs, the build options, the global partition
-// references, every record's owning partition, and each shard file's
-// expected (size, checksum) digest — so a shard file from a different
-// save generation is rejected exactly like a corrupted one. Saves
-// write the shard files first and commit the manifest last, each with
-// the atomic tmp+rename protocol: a crash mid-save leaves the old
-// manifest in charge, and any shard files it no longer matches fail
-// digest validation and repack at load.
-
-/// \brief How a LoadOrRebuildShardedFeatureIndex call obtained its
-/// index.
-struct ShardedSnapshotLoadInfo {
-  /// True when the manifest and every shard loaded and validated.
-  bool loaded_from_snapshot = false;
-  /// True when the whole index was rebuilt from the database (manifest
-  /// unusable, shape mismatch, or stale epoch).
-  bool rebuilt = false;
-  /// Shards that failed validation and were repacked from the
-  /// manifest's layout (k-means NOT re-run; empty on a clean load).
-  std::vector<size_t> rebuilt_shards;
-  /// Human-readable reason for the first fallback taken (empty on a
-  /// clean load).
-  std::string fallback_reason;
-};
-
-/// \brief Writes the manifest + per-shard files atomically (shards
-/// first, manifest last). Fails with FailedPrecondition when the index
-/// is not built.
-Status SaveShardedFeatureIndex(const ShardedFeatureIndex& index,
-                               const std::string& path);
-
-/// \brief Strict load: the manifest and every shard file must
-/// validate (magic, length, checksum, manifest digest, epochs,
-/// membership). The loaded index keeps the snapshot's epochs; if the
-/// database has mutated past them, queries fail with
-/// FailedPrecondition exactly as after any other mutation.
-Result<ShardedFeatureIndex> LoadShardedFeatureIndex(
-    const std::string& path, const MotionDatabase* database);
-
-/// \brief Boot-time recovery with *partial* rebuild: a valid, fresh
-/// manifest with some corrupted/missing shard files repacks only the
-/// failing shards from the manifest's layout (identical bytes to the
-/// lost shards, since packing is a pure function of the layout and
-/// the database rows). An unusable or stale manifest falls back to a
-/// full Build with `rebuild_options`.
-Result<ShardedFeatureIndex> LoadOrRebuildShardedFeatureIndex(
-    const std::string& path, const MotionDatabase* database,
-    const ShardedIndexOptions& rebuild_options = {},
-    ShardedSnapshotLoadInfo* info = nullptr);
 
 }  // namespace mocemg
 

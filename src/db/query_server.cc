@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "db/serving_faults.h"
-#include "db/sharded_index.h"
 #include "util/distance_kernels.h"
 #include "util/kernel_dispatch.h"
 #include "util/macros.h"
@@ -26,8 +25,8 @@ namespace {
 /// (verbatim bit patterns), then k. The seed replaces the offset basis
 /// so two servers with different seeds place the same keys in
 /// different buckets. Validity under mutation is NOT part of the key —
-/// each entry carries the epochs it was computed under and is
-/// revalidated (or erased) at lookup.
+/// each entry carries the epoch it was computed under and is erased at
+/// lookup once the database has moved past it.
 uint64_t HashKey(uint64_t seed, const std::vector<double>& query,
                  size_t k) {
   uint64_t h = seed ^ 0xcbf29ce484222325ULL;
@@ -60,7 +59,6 @@ void AccumulateIndexStats(IndexQueryStats* acc, const IndexQueryStats& s) {
 struct QueryServer::Impl {
   const MotionDatabase* db = nullptr;
   const FeatureIndex* index = nullptr;
-  const ShardedFeatureIndex* sharded = nullptr;
   QueryServerOptions opts;
 
   mutable std::mutex mu;
@@ -77,8 +75,8 @@ struct QueryServer::Impl {
   /// feeds the retry_after_us hint. 0 until the first batch commits.
   uint64_t drain_ewma_us = 0;
 
-  /// Micro-batches formed but not yet committed (their evaluation may
-  /// be running outside the lock). SwapIndex quiesces on this.
+  /// Micro-batches formed but not yet committed (the evaluation runs
+  /// outside the lock). SwapIndex quiesces on this.
   size_t inflight = 0;
   /// Pending SwapIndex calls; batch formation holds off while > 0.
   size_t swapping = 0;
@@ -105,26 +103,18 @@ struct QueryServer::Impl {
     size_t k = 0;
     std::vector<double> query;
     std::vector<QueryHit> hits;
-    /// Database epoch the hits were computed (or last revalidated) at.
+    /// Database epoch the hits were computed at.
     uint64_t db_epoch = 0;
-    /// Per-shard epochs at store time when the entry was served
-    /// through a ShardedFeatureIndex; empty otherwise. The lookup-time
-    /// revalidation walks exactly the shards whose epoch moved.
-    std::vector<uint64_t> shard_epochs;
-    /// The entry's k-th (worst) hit distance — the radius the
-    /// ShardAllBeyond certificate must clear for a mutated shard.
-    double kth = 0.0;
   };
 
-  /// One micro-batch moving through the form → evaluate → commit
-  /// pipeline. Formation and commit run under the lock; evaluation
-  /// touches only the flight itself and the index captured into it,
-  /// so the flights of one wave evaluate concurrently.
+  /// One micro-batch moving through form → evaluate → commit.
+  /// Formation and commit run under the lock; evaluation touches only
+  /// the flight itself and the index captured into it, so it runs
+  /// outside the lock.
   struct Flight {
-    enum Mode { kExact, kIndex, kSharded };
+    enum Mode { kExact, kIndex };
     Mode mode = kExact;
     const FeatureIndex* via_index = nullptr;
-    const ShardedFeatureIndex* via_sharded = nullptr;
     uint64_t epoch = 0;
     bool degraded = false;
     bool formed = false;  ///< counted in `inflight`; must commit
@@ -140,15 +130,10 @@ struct QueryServer::Impl {
     std::vector<Plan> plan;
     std::vector<size_t> uniq;  ///< batch positions evaluated (first of dupes)
     uint64_t n_hits = 0, n_miss = 0, n_coal = 0;
-    /// Shard-epoch vector snapshot at formation (sharded mode);
-    /// stamped into every cache entry this flight stores.
-    std::vector<uint64_t> shard_epochs;
     // --- evaluation outputs ---
     std::vector<std::vector<QueryHit>> eval_hits;
     std::vector<double> eval_bounds;
     IndexQueryStats agg;
-    std::vector<IndexQueryStats> per_shard;
-    std::vector<uint64_t> shard_scans;
     Status eval_status;
     uint64_t t0 = 0, t1 = 0;
   };
@@ -171,45 +156,28 @@ struct QueryServer::Impl {
 
   Result<uint64_t> Submit(bool classify, std::vector<double> query,
                           size_t k, uint64_t deadline_us);
-  /// Forms one micro-batch under the lock: expiry sweep, serving-mode
-  /// capture, watermark, extraction, fault draw, cache lookups with
-  /// revalidation, in-batch coalescing. Returns false when no batch
-  /// was formed (empty queue, or a swap is pending and `may_wait` is
-  /// false — callers holding uncommitted flights must not block, or
-  /// the swap could never quiesce).
-  bool FormFlight(Flight* f, bool may_wait);
+  /// Forms one micro-batch under the lock — expiry sweep, serving-mode
+  /// capture, watermark, extraction, fault draw, cache lookups,
+  /// in-batch coalescing — after waiting out any pending swap. Returns
+  /// false when the queue held no request to form a batch from.
+  bool FormFlight(Flight* f);
   /// Evaluates a formed flight's unique misses outside the lock.
   void EvaluateFlight(Flight* f) const;
-  /// Commits a flight under the lock in wave order: counters, EWMA,
-  /// cache inserts, outcome fulfilment, inflight release.
+  /// Commits a flight under the lock: counters, EWMA, cache inserts,
+  /// outcome fulfilment, inflight release.
   Status CommitFlight(Flight* f);
-  /// One wave: form up to pipeline_depth flights, evaluate them
-  /// concurrently, commit in formation order.
-  Status ServeWave(size_t* served_out);
+  /// One drain step: form one flight, evaluate it, commit it.
+  Status ServeBatch(size_t* served_out);
   Status ExactBatch(const std::vector<const std::vector<double>*>& queries,
                     size_t k,
                     std::vector<std::vector<QueryHit>*> hit_sinks) const;
-  /// Cache lookup with validity check. An entry stored at the current
-  /// epoch hits directly. After a mutation, an entry can survive only
-  /// through the sharded revalidation certificate (`shx` non-null =
-  /// serving through a fresh sharded index): for every shard whose
-  /// epoch moved, no cached hit may live in it and the shard must
-  /// prove all its records lie strictly beyond the entry's k-th
-  /// distance. Invalid entries are erased and attributed to the first
-  /// failing shard.
+  /// Cache lookup: an entry stored at the current epoch hits; an entry
+  /// from an earlier epoch is erased and misses.
   bool LookupCache(uint64_t hash, const std::vector<double>& query,
                    size_t k, uint64_t epoch,
-                   const ShardedFeatureIndex* shx,
                    std::vector<QueryHit>* hits_out);
   void InsertCached(CacheEntry entry);
-  void EnsureShardStats(size_t num_shards);
-  /// Folds a scatter-gather evaluation's per-shard stats into the
-  /// flight, counting `scans_per_shard` per-(query, shard) scan tasks
-  /// against every shard.
-  static void AddPerShard(Flight* f,
-                          const std::vector<IndexQueryStats>& per_shard,
-                          uint64_t scans_per_shard);
-  Status Swap(const FeatureIndex* fi, const ShardedFeatureIndex* si);
+  Status Swap(const FeatureIndex* fi);
   /// expect: 0 = kNN ticket, 1 = classify ticket, -1 = either kind.
   Result<Outcome> Take(uint64_t ticket, int expect);
   void WorkerLoop();
@@ -273,7 +241,6 @@ Result<uint64_t> QueryServer::Impl::Submit(bool classify,
 bool QueryServer::Impl::LookupCache(uint64_t hash,
                                     const std::vector<double>& query,
                                     size_t k, uint64_t epoch,
-                                    const ShardedFeatureIndex* shx,
                                     std::vector<QueryHit>* hits_out) {
   auto [begin, end] = cache_map.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
@@ -283,40 +250,7 @@ bool QueryServer::Impl::LookupCache(uint64_t hash,
       *hits_out = e.hits;
       return true;
     }
-    // The database mutated since the entry was stored. Without a
-    // fresh sharded index there is no certificate to keep it alive.
-    if (shx != nullptr && e.shard_epochs.size() == shx->num_shards()) {
-      const std::vector<uint64_t>& cur = shx->shard_epochs();
-      bool valid = true;
-      size_t bad_shard = cur.size();
-      for (size_t s = 0; s < cur.size(); ++s) {
-        if (e.shard_epochs[s] == cur[s]) continue;
-        // Shard s mutated: the entry survives only if none of its
-        // hits live in s and s certifies that every record it now
-        // holds lies strictly beyond the entry's k-th distance (so
-        // nothing in s could have entered the top-k).
-        bool depends = e.hits.size() < e.k;
-        for (const QueryHit& h : e.hits) {
-          if (depends) break;
-          auto owner = shx->ShardOfRecord(h.record_index);
-          depends = !owner.ok() || *owner == s;
-        }
-        if (depends || !shx->ShardAllBeyond(s, query, e.kth)) {
-          valid = false;
-          bad_shard = s;
-          break;
-        }
-      }
-      if (valid) {
-        e.db_epoch = epoch;
-        e.shard_epochs = cur;
-        ++counters.cache_revalidations;
-        *hits_out = e.hits;
-        return true;
-      }
-      EnsureShardStats(cur.size());
-      ++counters.shard_stats[bad_shard].cache_invalidations;
-    }
+    // The database mutated since the entry was stored.
     cache_fifo.erase(it->second);
     cache_map.erase(it);
     return false;
@@ -352,12 +286,6 @@ void QueryServer::Impl::InsertCached(CacheEntry entry) {
   cache_fifo.push_back(std::move(entry));
   auto it = std::prev(cache_fifo.end());
   cache_map.emplace(it->hash, it);
-}
-
-void QueryServer::Impl::EnsureShardStats(size_t num_shards) {
-  if (counters.shard_stats.size() < num_shards) {
-    counters.shard_stats.resize(num_shards);
-  }
 }
 
 Status QueryServer::Impl::ExactBatch(
@@ -403,14 +331,11 @@ Status QueryServer::Impl::ExactBatch(
       opts.parallel);
 }
 
-bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
+bool QueryServer::Impl::FormFlight(Flight* f) {
   std::unique_lock<std::mutex> lock(mu);
-  if (swapping > 0) {
-    // A swap is quiescing. A caller with uncommitted flights must not
-    // block here — the swap waits on those very commits.
-    if (!may_wait) return false;
-    cv_swap.wait(lock, [&] { return swapping == 0; });
-  }
+  // Hold off while a swap is quiescing; this caller has no uncommitted
+  // flight, so the swap cannot be waiting on it.
+  cv_swap.wait(lock, [&] { return swapping == 0; });
   const uint64_t epoch = db->epoch();
   f->epoch = epoch;
   f->fault_status = Status::OK();
@@ -439,14 +364,10 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   }
   // Serving-mode capture: the flight evaluates wholly through the
   // index installed NOW — a later SwapIndex cannot tear it (the swap
-  // waits for this flight to commit). A fresh sharded index wins; a
-  // fresh plain index is next; otherwise the exact blocked fallback.
-  if (sharded != nullptr && sharded->num_partitions() > 0 &&
-      sharded->applied_epoch() == epoch) {
-    f->mode = Flight::kSharded;
-    f->via_sharded = sharded;
-  } else if (index != nullptr && index->num_partitions() > 0 &&
-             index->built_epoch() == epoch) {
+  // waits for this flight to commit). A fresh index serves; otherwise
+  // the exact blocked fallback.
+  if (index != nullptr && index->num_partitions() > 0 &&
+      index->built_epoch() == epoch) {
     f->mode = Flight::kIndex;
     f->via_index = index;
   } else {
@@ -455,12 +376,10 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   // Degradation needs a coarse tier on the serving index; without one
   // the exact path serves under any load.
   const bool coarse_capable =
-      (f->mode == Flight::kSharded &&
-       f->via_sharded->has_quantized_tier()) ||
-      (f->mode == Flight::kIndex && f->via_index->has_quantized_tier());
+      f->mode == Flight::kIndex && f->via_index->has_quantized_tier();
   // Degradation trigger: a pure function of post-sweep queue depth,
   // so a replayed request sequence degrades identically at any
-  // thread count and pipeline depth (DESIGN.md §12.2).
+  // thread count (DESIGN.md §12.2).
   f->degraded = coarse_capable && opts.degrade_watermark > 0 &&
                 queue.size() >= opts.degrade_watermark;
   while (!queue.empty() && f->batch.size() < opts.max_batch) {
@@ -473,18 +392,13 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   if (opts.faults != nullptr) {
     f->fault_status = opts.faults->OnBatchFormed(f->batch.size());
   }
-  if (f->mode == Flight::kSharded) {
-    f->shard_epochs = f->via_sharded->shard_epochs();
-  }
-  const ShardedFeatureIndex* shx =
-      f->mode == Flight::kSharded ? f->via_sharded : nullptr;
   f->plan.resize(f->batch.size());
   for (size_t i = 0; i < f->batch.size(); ++i) {
     const Request& req = f->batch[i];
     Flight::Plan& pl = f->plan[i];
     pl.hash = HashKey(opts.cache_seed, req.query, req.k);
     if (opts.cache_capacity > 0 &&
-        LookupCache(pl.hash, req.query, req.k, epoch, shx, &pl.cached)) {
+        LookupCache(pl.hash, req.query, req.k, epoch, &pl.cached)) {
       pl.from_cache = true;
       ++f->n_hits;
       continue;
@@ -511,21 +425,6 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   return true;
 }
 
-void QueryServer::Impl::AddPerShard(
-    Flight* f, const std::vector<IndexQueryStats>& per_shard,
-    uint64_t scans_per_shard) {
-  if (f->per_shard.size() < per_shard.size()) {
-    f->per_shard.resize(per_shard.size());
-  }
-  if (f->shard_scans.size() < per_shard.size()) {
-    f->shard_scans.resize(per_shard.size(), 0);
-  }
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    AccumulateIndexStats(&f->per_shard[s], per_shard[s]);
-    f->shard_scans[s] += scans_per_shard;
-  }
-}
-
 void QueryServer::Impl::EvaluateFlight(Flight* f) const {
   Status eval_status = f->fault_status;
   const size_t nu = f->uniq.size();
@@ -549,17 +448,8 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
       }
       IndexQueryStats st;
       std::vector<double> bounds;
-      Result<std::vector<std::vector<QueryHit>>> hits(
-          std::vector<std::vector<QueryHit>>{});
-      if (f->mode == Flight::kSharded) {
-        std::vector<IndexQueryStats> ps;
-        hits = f->via_sharded->BatchCoarseNearestNeighbors(
-            queries, k, &bounds, &st, &ps, &opts.parallel);
-        if (hits.ok()) AddPerShard(f, ps, slots.size());
-      } else {
-        hits = f->via_index->BatchCoarseNearestNeighbors(
-            queries, k, &bounds, &st, &opts.parallel);
-      }
+      auto hits = f->via_index->BatchCoarseNearestNeighbors(
+          queries, k, &bounds, &st, &opts.parallel);
       if (!hits.ok()) {
         eval_status =
             hits.status().WithContext("query server degraded batch");
@@ -580,25 +470,7 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
       by_k[f->batch[f->uniq[u]].k].push_back(u);
     }
     for (const auto& [k, slots] : by_k) {
-      if (f->mode == Flight::kSharded) {
-        std::vector<std::vector<double>> queries(slots.size());
-        for (size_t s = 0; s < slots.size(); ++s) {
-          queries[s] = f->batch[f->uniq[slots[s]]].query;
-        }
-        IndexQueryStats st;
-        std::vector<IndexQueryStats> ps;
-        auto hits = f->via_sharded->BatchNearestNeighbors(
-            queries, k, &st, &ps, &opts.parallel);
-        if (!hits.ok()) {
-          eval_status = hits.status().WithContext("query server batch");
-          break;
-        }
-        AccumulateIndexStats(&f->agg, st);
-        AddPerShard(f, ps, slots.size());
-        for (size_t s = 0; s < slots.size(); ++s) {
-          f->eval_hits[slots[s]] = std::move((*hits)[s]);
-        }
-      } else if (f->mode == Flight::kIndex) {
+      if (f->mode == Flight::kIndex) {
         std::vector<std::vector<double>> queries(slots.size());
         for (size_t s = 0; s < slots.size(); ++s) {
           queries[s] = f->batch[f->uniq[slots[s]]].query;
@@ -653,18 +525,8 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
     counters.cache_misses += f->n_miss;
     counters.coalesced += f->n_coal;
     if (f->degraded) ++counters.degraded_batches;
-    if (f->mode != Flight::kExact) {
+    if (f->mode == Flight::kIndex) {
       AccumulateIndexStats(&counters.index_stats, f->agg);
-    }
-    if (f->mode == Flight::kSharded) {
-      EnsureShardStats(f->via_sharded->num_shards());
-      for (size_t s = 0; s < f->per_shard.size(); ++s) {
-        ShardServeStats& ss = counters.shard_stats[s];
-        ss.scans += f->shard_scans[s];
-        ss.distance_computations += f->per_shard[s].distance_computations;
-        ss.coarse_computations += f->per_shard[s].coarse_computations;
-        ss.coarse_pruned += f->per_shard[s].coarse_pruned;
-      }
     }
     // Drain-rate EWMA (integer, α=1/2): feeds the retry_after hint.
     const uint64_t per_req =
@@ -682,8 +544,6 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
         entry.query = req.query;
         entry.hits = f->eval_hits[u];
         entry.db_epoch = f->epoch;
-        entry.shard_epochs = f->shard_epochs;
-        entry.kth = entry.hits.empty() ? 0.0 : entry.hits.back().distance;
         InsertCached(std::move(entry));
       }
     }
@@ -722,70 +582,30 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
   return f->eval_status;
 }
 
-Status QueryServer::Impl::ServeWave(size_t* served_out) {
-  const size_t depth = std::max<size_t>(1, opts.pipeline_depth);
-  std::vector<Flight> flights;
-  flights.reserve(depth);
-  bool any_expired = false;
-  for (size_t i = 0; i < depth; ++i) {
-    Flight f;
-    // Only the first formation may wait out a pending swap: once this
-    // wave holds an uncommitted flight, blocking would deadlock the
-    // swap's quiesce.
-    const bool formed = FormFlight(&f, /*may_wait=*/flights.empty());
-    any_expired = any_expired || f.n_expired > 0;
-    if (!formed) break;
-    flights.push_back(std::move(f));
-  }
-  if (flights.empty()) {
-    if (served_out != nullptr) *served_out = 0;
-    if (any_expired) cv_done.notify_all();
-    return Status::OK();
-  }
-  if (flights.size() == 1) {
-    EvaluateFlight(&flights[0]);
-  } else {
-    // Overlap the wave's evaluation stages on the thread pool. Each
-    // flight is evaluated whole (grain 1); index-internal ParallelFor
-    // calls nest inline, so the thread budget applies at flight level.
-    ParallelOptions wave = opts.parallel;
-    wave.grain = 1;
-    (void)ParallelFor(
-        flights.size(),
-        [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            EvaluateFlight(&flights[i]);
-          }
-          return Status::OK();
-        },
-        wave);
-  }
-  size_t served = 0;
+Status QueryServer::Impl::ServeBatch(size_t* served_out) {
+  Flight f;
+  const bool formed = FormFlight(&f);
   Status status = Status::OK();
-  for (Flight& f : flights) {
-    Status st = CommitFlight(&f);
-    if (status.ok() && !st.ok()) status = st;
-    served += f.batch.size();
+  if (formed) {
+    EvaluateFlight(&f);
+    status = CommitFlight(&f);
   }
-  if (served_out != nullptr) *served_out = served;
-  if (any_expired) cv_done.notify_all();
+  if (served_out != nullptr) *served_out = f.batch.size();
+  if (f.n_expired > 0) cv_done.notify_all();
   return status;
 }
 
-Status QueryServer::Impl::Swap(const FeatureIndex* fi,
-                               const ShardedFeatureIndex* si) {
+Status QueryServer::Impl::Swap(const FeatureIndex* fi) {
   {
     std::unique_lock<std::mutex> lock(mu);
     ++swapping;
     cv_swap.wait(lock, [&] { return inflight == 0; });
     index = fi;
-    sharded = si;
     --swapping;
   }
   cv_swap.notify_all();
   return Status::OK();
 }
-
 Result<QueryServer::Impl::Outcome> QueryServer::Impl::Take(uint64_t ticket,
                                                            int expect) {
   std::unique_lock<std::mutex> lock(mu);
@@ -803,10 +623,10 @@ Result<QueryServer::Impl::Outcome> QueryServer::Impl::Take(uint64_t ticket,
     if (running) {
       cv_done.wait(lock);
     } else {
-      // No worker: serve inline until this ticket's wave has run.
+      // No worker: serve inline until this ticket's batch has run.
       lock.unlock();
       size_t served = 0;
-      Status st = ServeWave(&served);
+      Status st = ServeBatch(&served);
       lock.lock();
       it = outcomes.find(ticket);
       if (it == outcomes.end()) {
@@ -839,7 +659,7 @@ void QueryServer::Impl::WorkerLoop() {
     // Per-request failures are recorded in the outcomes; the worker
     // itself keeps serving.
     size_t served = 0;
-    (void)ServeWave(&served);
+    (void)ServeBatch(&served);
   }
 }
 
@@ -868,9 +688,6 @@ Status ValidateServerOptions(const MotionDatabase* database,
   if (options.max_batch == 0) {
     return Status::InvalidArgument("max_batch must be >= 1");
   }
-  if (options.pipeline_depth == 0) {
-    return Status::InvalidArgument("pipeline_depth must be >= 1");
-  }
   if (options.degrade_watermark > options.max_queue) {
     return Status::InvalidArgument(
         "degrade_watermark (" + std::to_string(options.degrade_watermark) +
@@ -894,32 +711,8 @@ Result<QueryServer> QueryServer::Create(const MotionDatabase* database,
   return QueryServer(std::move(impl));
 }
 
-Result<QueryServer> QueryServer::Create(const MotionDatabase* database,
-                                        const ShardedFeatureIndex* index,
-                                        const QueryServerOptions& options) {
-  MOCEMG_RETURN_NOT_OK(ValidateServerOptions(database, options));
-  if (index != nullptr && index->database() != database) {
-    return Status::InvalidArgument(
-        "sharded index is not built over the server's database");
-  }
-  auto impl = std::make_unique<Impl>();
-  impl->db = database;
-  impl->sharded = index;
-  impl->opts = options;
-  impl->clock = options.clock != nullptr ? options.clock : SystemClock();
-  return QueryServer(std::move(impl));
-}
-
 Status QueryServer::SwapIndex(const FeatureIndex* index) {
-  return impl_->Swap(index, nullptr);
-}
-
-Status QueryServer::SwapIndex(const ShardedFeatureIndex* index) {
-  if (index != nullptr && index->database() != impl_->db) {
-    return Status::InvalidArgument(
-        "sharded index is not built over the server's database");
-  }
-  return impl_->Swap(nullptr, index);
+  return impl_->Swap(index);
 }
 
 Result<uint64_t> QueryServer::SubmitNearestNeighbors(
@@ -944,13 +737,13 @@ Result<uint64_t> QueryServer::SubmitClassify(std::vector<double> query,
 }
 
 Status QueryServer::DrainOnce(size_t* served_out) {
-  return impl_->ServeWave(served_out);
+  return impl_->ServeBatch(served_out);
 }
 
 Status QueryServer::Drain() {
   size_t served = 0;
   do {
-    MOCEMG_RETURN_NOT_OK(impl_->ServeWave(&served));
+    MOCEMG_RETURN_NOT_OK(impl_->ServeBatch(&served));
   } while (served > 0);
   return Status::OK();
 }
@@ -1066,12 +859,6 @@ void QueryServer::Stop() {
     impl_->running = false;
     impl_->stopping = false;
   }
-}
-
-void QueryServer::NoteSnapshotLoad(bool loaded_from_snapshot) {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  ++impl_->counters.snapshot_loads;
-  if (!loaded_from_snapshot) ++impl_->counters.snapshot_fallbacks;
 }
 
 QueryServerStats QueryServer::stats() const {

@@ -1,7 +1,7 @@
 /// \file query_server.h
 /// \brief Batched query-serving front end over a MotionDatabase and an
-/// optional FeatureIndex or ShardedFeatureIndex: the production-facing
-/// path for the paper's Section 4 retrieval step.
+/// optional FeatureIndex: the production-facing path for the paper's
+/// Section 4 retrieval step.
 ///
 /// Serving mechanisms (DESIGN.md §11.3):
 ///
@@ -12,36 +12,23 @@
 ///    hint (see RetryAfterMicros) derived from the observed drain
 ///    rate, so clients back off proportionally to real pressure.
 ///  - **Deterministic micro-batching**: requests are served in strict
-///    admission (FIFO) order, up to `max_batch` at a time. A batch's
-///    unique cache-miss queries are evaluated together — through the
-///    index's batch path when it is fresh, otherwise through one
-///    blocked many-to-many kernel sweep over the database — and
-///    duplicate queries inside a batch coalesce onto one evaluation.
-///    Batch composition is a pure function of admission order, and the
+///    admission (FIFO) order, up to `max_batch` at a time; each drain
+///    forms one micro-batch under the server lock, evaluates it outside
+///    the lock, and commits it under the lock. A batch's unique
+///    cache-miss queries are evaluated together — through the index's
+///    batch path when it is fresh, otherwise through one blocked
+///    many-to-many kernel sweep over the database — and duplicate
+///    queries inside a batch coalesce onto one evaluation. Batch
+///    composition is a pure function of admission order, and the
 ///    kernels are bit-identical at any thread count, so the same
 ///    request sequence produces the same results *and the same
 ///    cache-hit counts* at MOCEMG_THREADS=1/2/8.
-///  - **Stage-pipelined scheduling**: with `pipeline_depth` D > 1 a
-///    drain forms up to D micro-batches per wave and overlaps their
-///    evaluation stages on the thread pool (the formation and commit
-///    stages stay serialized under the server lock, in batch order).
-///    Every batch's answers are bit-identical to the depth-1 schedule
-///    — evaluation is a pure function of the batch contents — but
-///    cache-hit counts MAY differ across depths: batches formed in the
-///    same wave cannot see each other's not-yet-committed inserts.
-///  - **Seeded, shard-aware result cache**: hit lists are cached keyed
-///    by (query bytes, k) under a seeded hash, with FIFO eviction at
+///  - **Seeded result cache**: hit lists are cached keyed by (query
+///    bytes, k) under a seeded hash, with FIFO eviction at
 ///    `cache_capacity` entries. Each entry records the database epoch
-///    and — when serving through a ShardedFeatureIndex — the per-shard
-///    epoch vector and the entry's k-th (worst) hit distance. A lookup
-///    after a mutation revalidates the entry per shard: a shard whose
-///    epoch moved invalidates the entry only if one of the cached hits
-///    lives in it or the shard cannot certify (triangle inequality,
-///    ShardAllBeyond) that all its records now lie strictly beyond the
-///    k-th distance. A mutation to one shard therefore invalidates
-///    only the entries that provably depended on it; everything else
-///    stays a hit. Invalid entries are erased on lookup and attributed
-///    to the first failing shard in the per-shard counters.
+///    it was computed at; a lookup after any mutation (Insert or
+///    UpdateFeature, whether or not the index absorbed it with
+///    ApplyUpdate) erases the entry and re-evaluates.
 ///
 /// Robustness mechanisms (DESIGN.md §12):
 ///
@@ -57,7 +44,7 @@
 ///    before extraction) reaches `degrade_watermark`, the batch's
 ///    cache misses are answered from the index's int8 coarse tier
 ///    alone, grouped by k and drained through one batch coarse scan
-///    per group ((Sharded)FeatureIndex::BatchCoarseNearestNeighbors) —
+///    per group (FeatureIndex::BatchCoarseNearestNeighbors) —
 ///    roughly an order of magnitude less full-precision work per
 ///    query — tagged `degraded=true`
 ///    with a certified error bound on every distance. The trigger is a
@@ -84,8 +71,8 @@
 /// goes through SwapIndex, which quiesces evaluation (waits for
 /// in-flight batches to commit, holds off new batch formation) and
 /// swaps the pointer under the server lock — concurrent submitters
-/// never observe a torn index. Mutating the database, or mutating an
-/// index IN PLACE (ApplyUpdate/Rebuild on an object the server is
+/// never observe a torn index. Mutating the database, or mutating the
+/// index IN PLACE (ApplyUpdate/Rebuild on the object the server is
 /// serving from), is still the caller's to serialize: quiesce the
 /// server (Stop or drain) first, or build the replacement aside and
 /// SwapIndex it in. The epoch guard turns an unsynchronized mutation
@@ -109,7 +96,6 @@
 namespace mocemg {
 
 class ServingFaultInjector;
-class ShardedFeatureIndex;
 
 /// \brief Serving configuration.
 struct QueryServerOptions {
@@ -144,32 +130,6 @@ struct QueryServerOptions {
   /// Fault injection seam for tests and the abl10 bench; nullptr in
   /// production. Must outlive the server.
   ServingFaultInjector* faults = nullptr;
-  /// Micro-batches formed (and evaluated concurrently) per drain wave.
-  /// 1 = the classic one-batch-at-a-time schedule; D > 1 overlaps up
-  /// to D batch evaluations on the thread pool. Answers are identical
-  /// at every depth; cache-hit counts may differ (batches in one wave
-  /// cannot see each other's inserts). Must be >= 1.
-  size_t pipeline_depth = 1;
-};
-
-/// \brief Per-shard serving counters, kept when the server serves
-/// through a ShardedFeatureIndex (empty otherwise). Aggregated in
-/// batch-commit order, so the vector is deterministic for a given
-/// request sequence at any thread count and pipeline depth.
-struct ShardServeStats {
-  /// Per-(query, shard) scan tasks executed against this shard
-  /// (exact and coarse).
-  uint64_t scans = 0;
-  /// Exact distance evaluations this shard performed.
-  uint64_t distance_computations = 0;
-  /// int8 coarse estimates this shard computed.
-  uint64_t coarse_computations = 0;
-  /// Records skipped by this shard's coarse prefilter.
-  uint64_t coarse_pruned = 0;
-  /// Cache entries invalidated because this shard's mutation broke
-  /// their revalidation certificate (attributed to the first failing
-  /// shard).
-  uint64_t cache_invalidations = 0;
 };
 
 /// \brief Monotonic serving counters (a consistent snapshot via stats()).
@@ -199,13 +159,6 @@ struct QueryServerStats {
   std::vector<uint64_t> batch_size_hist;
   /// Most requests ever waiting at once (updated at admission).
   uint64_t queue_high_water = 0;
-  /// Index snapshot loads reported via NoteSnapshotLoad.
-  uint64_t snapshot_loads = 0;
-  /// Snapshot loads that fell back to a rebuild.
-  uint64_t snapshot_fallbacks = 0;
-  /// Cache entries kept alive across a shard mutation by the per-shard
-  /// revalidation certificate (sharded serving only).
-  uint64_t cache_revalidations = 0;
   /// Kernel backend every distance evaluation dispatched to
   /// ("scalar", "avx2", "avx512" or "neon"; kernel_dispatch.h). Filled
   /// at stats() time, so it reflects the backend active right now.
@@ -215,9 +168,6 @@ struct QueryServerStats {
   /// Aggregated index statistics over all index-served batches (zero
   /// when serving through the exact fallback).
   IndexQueryStats index_stats;
-  /// Per-shard serving counters; sized num_shards when serving through
-  /// a ShardedFeatureIndex, empty otherwise.
-  std::vector<ShardServeStats> shard_stats;
 };
 
 /// \brief A served result with its degradation provenance. Exact
@@ -249,14 +199,6 @@ class QueryServer {
                                     const FeatureIndex* index = nullptr,
                                     const QueryServerOptions& options = {});
 
-  /// \brief Creates a server over `database` that serves scatter-gather
-  /// through the sharded index whenever it is non-null and fresh
-  /// (applied_epoch matching the database), falling back to the exact
-  /// blocked scan otherwise. Both pointers must outlive the server.
-  static Result<QueryServer> Create(const MotionDatabase* database,
-                                    const ShardedFeatureIndex* index,
-                                    const QueryServerOptions& options = {});
-
   /// \brief Atomically replaces the serving index (nullptr = exact
   /// fallback): waits for in-flight batch evaluations to commit while
   /// holding off new batch formation, swaps the pointer, and resumes.
@@ -265,7 +207,6 @@ class QueryServer {
   /// index installed when it was formed. The new index must be over
   /// the server's database.
   Status SwapIndex(const FeatureIndex* index);
-  Status SwapIndex(const ShardedFeatureIndex* index);
 
   /// \brief Enqueues a kNN request; returns its ticket, or OutOfRange
   /// when the admission queue is full (message carries a
@@ -284,15 +225,14 @@ class QueryServer {
   Result<uint64_t> SubmitClassify(std::vector<double> query, size_t k,
                                   uint64_t deadline_us);
 
-  /// \brief Serves one wave — up to pipeline_depth micro-batches of up
-  /// to max_batch requests, formed in admission order and evaluated
-  /// concurrently — and commits them in batch order. `served_out`,
-  /// when given, receives the number of requests fulfilled (0 when the
-  /// queue was empty; expired requests do not count — they were shed,
-  /// not served).
+  /// \brief Serves one micro-batch of up to max_batch requests, formed
+  /// in admission order, and commits it. `served_out`, when given,
+  /// receives the number of requests fulfilled (0 when the queue was
+  /// empty; expired requests do not count — they were shed, not
+  /// served).
   Status DrainOnce(size_t* served_out = nullptr);
 
-  /// \brief Serves waves until the queue is empty.
+  /// \brief Serves micro-batches until the queue is empty.
   Status Drain();
 
   /// \brief Blocks until the ticket's kNN result is ready and returns
@@ -335,11 +275,6 @@ class QueryServer {
   /// \brief Stops the worker after it drains the remaining queue.
   /// No-op when not started.
   void Stop();
-
-  /// \brief Records an index-snapshot load attempt in the serving
-  /// counters (the boot path calls this with
-  /// IndexSnapshotLoadInfo::loaded_from_snapshot).
-  void NoteSnapshotLoad(bool loaded_from_snapshot);
 
   /// \brief Consistent snapshot of the serving counters.
   QueryServerStats stats() const;

@@ -11,9 +11,8 @@
 /// publishes a function-pointer table (`KernelOps`) that every kernel
 /// entry point (`SquaredL2OneToMany`, `QuantizedSsdOneToMany`, …) routes
 /// through. Consumers — MotionDatabase linear scan, FeatureIndex
-/// partition scan and coarse pass, ShardedFeatureIndex, k-means, FCM,
-/// GK, classifier kNN — therefore pick up the dispatched backend with
-/// no call-site changes.
+/// partition scan and coarse pass, k-means, FCM, GK, classifier kNN —
+/// therefore pick up the dispatched backend with no call-site changes.
 ///
 /// **Bit-exactness contract.** Every backend reproduces the scalar
 /// reference bit-for-bit, for every shape, dimension and input

@@ -84,25 +84,6 @@ class BoundedTopK {
   std::vector<TopKEntry> heap_;
 };
 
-/// \brief Scatter-gather merge: folds per-source sorted top-k lists
-/// (each ascending by (distance, index), as ExtractSorted produces)
-/// into `top`, visiting sources in their given order. Because the
-/// exact top-k is a pure function of the candidate *set* under the
-/// (distance, index) order, the merged heap equals the heap a single
-/// scan over the union would have produced — this is the sharded kNN
-/// bit-identity lever. Within a source, iteration stops as soon as an
-/// entry provably cannot enter (list ascending + heap full + distance
-/// strictly beyond the k-th best).
-inline void MergeSortedTopK(const std::vector<std::vector<TopKEntry>>& lists,
-                            BoundedTopK* top) {
-  for (const std::vector<TopKEntry>& list : lists) {
-    for (const TopKEntry& entry : list) {
-      if (top->full() && entry.first > top->worst()) break;
-      top->Push(entry.first, entry.second);
-    }
-  }
-}
-
 }  // namespace mocemg
 
 #endif  // MOCEMG_UTIL_TOP_K_H_

@@ -1,7 +1,7 @@
-/// Batch-query edge cases: the batch entry points of FeatureIndex and
-/// ShardedFeatureIndex, exact and coarse, must yield hits, error
-/// bounds, and stats bit-identical to the per-query scan at every
-/// thread count, shard count, kernel backend and exact-tier precision.
+/// Batch-query edge cases: the batch entry points of FeatureIndex,
+/// exact and coarse, must yield hits, error bounds, and stats
+/// bit-identical to the per-query scan at every thread count, kernel
+/// backend and exact-tier precision.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "db/feature_index.h"
 #include "db/motion_database.h"
-#include "db/sharded_index.h"
 #include "util/kernel_dispatch.h"
 #include "util/random.h"
 
@@ -74,7 +73,7 @@ struct BackendScope {
 // The batch must be bit-identical — hits AND stats — to the
 // per-query scan, on every usable backend and at both exact-tier
 // precisions.
-TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
+TEST(BatchQueryTest, BackendSweepBitIdenticalToPerQuery) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 41);
   const auto queries = MakeQueries(37, kDim, 42);
@@ -119,7 +118,7 @@ TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
 // k at or beyond the partition size (and beyond the whole database)
 // exercises the never-full-heap paths: the coarse seed loop, the
 // frozen entry gate with entry_full=false, and heap_k clamping.
-TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
+TEST(BatchQueryTest, KAtAndBeyondPartitionAndDatabaseSize) {
   const size_t kDim = 6;
   MotionDatabase db = MakeDb(120, kDim, 51);
   const auto queries = MakeQueries(9, kDim, 52);
@@ -147,7 +146,7 @@ TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
 // A non-finite query anywhere in the batch fails the whole batch with
 // the offending query's slot in the error context, matching the
 // per-query validation error.
-TEST(QueryBlockTest, NonFiniteQueriesRejectedWithSlotContext) {
+TEST(BatchQueryTest, NonFiniteQueriesRejectedWithSlotContext) {
   const size_t kDim = 6;
   MotionDatabase db = MakeDb(80, kDim, 61);
   auto index = FeatureIndex::Build(&db);
@@ -175,7 +174,7 @@ TEST(QueryBlockTest, NonFiniteQueriesRejectedWithSlotContext) {
 
 // Duplicate queries sharing one batch must not perturb each other:
 // every copy gets the identical answer, equal to the solo scan.
-TEST(QueryBlockTest, DuplicateQueriesInOneBlock) {
+TEST(BatchQueryTest, DuplicateQueriesInOneBatch) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(200, kDim, 71);
   auto index = FeatureIndex::Build(&db);
@@ -194,104 +193,80 @@ TEST(QueryBlockTest, DuplicateQueriesInOneBlock) {
   }
 }
 
-// The sharded (query × shard) grid: thread counts 1/2/8 and shard
-// counts 1/4 — hits and stats all bit-identical to the per-query
-// sharded scan.
-TEST(QueryBlockTest, ShardedGridBitIdenticalAcrossThreadsAndBlocks) {
+// Thread counts 1/2/8: batch hits and stats bit-identical to the
+// per-query scan of a 1-thread build.
+TEST(BatchQueryTest, ExactBatchBitIdenticalAcrossThreads) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 81);
   const auto queries = MakeQueries(23, kDim, 82);
-  for (size_t shards : {1, 4}) {
-    // Per-query reference through a 1-thread build.
-    ShardedIndexOptions ropts;
-    ropts.num_shards = shards;
-    auto rindex = ShardedFeatureIndex::Build(&db, ropts);
-    ASSERT_TRUE(rindex.ok()) << rindex.status();
-    std::vector<std::vector<QueryHit>> ref(queries.size());
+  FeatureIndexOptions ropts;
+  ropts.parallel.max_threads = 1;
+  auto rindex = FeatureIndex::Build(&db, ropts);
+  ASSERT_TRUE(rindex.ok()) << rindex.status();
+  std::vector<std::vector<QueryHit>> ref(queries.size());
+  IndexQueryStats ref_stats;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    IndexQueryStats st;
+    auto hits = rindex->NearestNeighbors(queries[q], 5, &st);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    ref[q] = std::move(*hits);
+    ref_stats.distance_computations += st.distance_computations;
+    ref_stats.partitions_visited += st.partitions_visited;
+    ref_stats.partitions_pruned += st.partitions_pruned;
+    ref_stats.coarse_computations += st.coarse_computations;
+    ref_stats.coarse_pruned += st.coarse_pruned;
+    ref_stats.f32_scans += st.f32_scans;
+    ref_stats.f32_refined += st.f32_refined;
+  }
+  for (size_t threads : {1, 2, 8}) {
+    FeatureIndexOptions opts;
+    opts.parallel.max_threads = threads;
+    auto index = FeatureIndex::Build(&db, opts);
+    ASSERT_TRUE(index.ok()) << index.status();
+    IndexQueryStats stats;
+    auto hits = index->BatchNearestNeighbors(queries, 5, &stats);
+    ASSERT_TRUE(hits.ok()) << hits.status();
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto hits = rindex->NearestNeighbors(queries[q], 5);
-      ASSERT_TRUE(hits.ok()) << hits.status();
-      ref[q] = std::move(*hits);
+      ExpectHitsIdentical(ref[q], (*hits)[q]);
     }
-    std::vector<IndexQueryStats> run_stats;
-    for (size_t threads : {1, 2, 8}) {
-      ShardedIndexOptions opts;
-      opts.num_shards = shards;
-      opts.index.parallel.max_threads = threads;
-      auto index = ShardedFeatureIndex::Build(&db, opts);
-      ASSERT_TRUE(index.ok()) << index.status();
-      IndexQueryStats stats;
-      auto hits = index->BatchNearestNeighbors(queries, 5, &stats);
-      ASSERT_TRUE(hits.ok()) << hits.status();
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ExpectHitsIdentical(ref[q], (*hits)[q]);
-      }
-      run_stats.push_back(stats);
-    }
-    for (size_t r = 1; r < run_stats.size(); ++r) {
-      ExpectStatsEqual(run_stats[0], run_stats[r]);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectStatsEqual(ref_stats, stats);
   }
 }
 
-// The batch coarse scan: batch answers AND certified error bounds
-// equal CoarseNearestNeighbors per query, across shard counts and
-// thread counts.
-TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
+// The batch coarse scan (the query server's degraded drain): batch
+// answers AND certified error bounds equal CoarseNearestNeighbors per
+// query at thread counts 1/2/8.
+TEST(BatchQueryTest, CoarseBatchMatchesPerQueryWithBounds) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 91);
   const auto queries = MakeQueries(19, kDim, 92);
-  for (size_t shards : {1, 4}) {
-    ShardedIndexOptions ropts;
-    ropts.num_shards = shards;
-    ropts.index.quantized_min_rows = 1;
-    auto rindex = ShardedFeatureIndex::Build(&db, ropts);
-    ASSERT_TRUE(rindex.ok()) << rindex.status();
-    ASSERT_TRUE(rindex->has_quantized_tier());
-    std::vector<std::vector<QueryHit>> ref(queries.size());
-    std::vector<double> ref_bounds(queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      auto hits =
-          rindex->CoarseNearestNeighbors(queries[q], 5, &ref_bounds[q]);
-      ASSERT_TRUE(hits.ok()) << hits.status();
-      ref[q] = std::move(*hits);
-    }
-    for (size_t threads : {1, 8}) {
-      ShardedIndexOptions opts = ropts;
-      opts.index.parallel.max_threads = threads;
-      auto index = ShardedFeatureIndex::Build(&db, opts);
-      ASSERT_TRUE(index.ok()) << index.status();
-      std::vector<double> bounds;
-      auto hits = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
-      ASSERT_TRUE(hits.ok()) << hits.status();
-      ASSERT_EQ(bounds.size(), queries.size());
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ExpectHitsIdentical(ref[q], (*hits)[q]);
-        EXPECT_EQ(ref_bounds[q], bounds[q]);
-      }
-    }
-  }
-}
-
-// The single-index coarse batch entry point (used by the query
-// server's degraded drain) against its per-query counterpart.
-TEST(QueryBlockTest, SingleIndexCoarseBatchMatchesPerQuery) {
-  const size_t kDim = 8;
-  MotionDatabase db = MakeDb(250, kDim, 101);
-  const auto queries = MakeQueries(11, kDim, 102);
-  FeatureIndexOptions opts;
-  opts.quantized_min_rows = 1;
-  auto index = FeatureIndex::Build(&db, opts);
-  ASSERT_TRUE(index.ok()) << index.status();
-  std::vector<double> bounds;
-  auto batch = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
-  ASSERT_TRUE(batch.ok()) << batch.status();
+  FeatureIndexOptions ropts;
+  ropts.quantized_min_rows = 1;
+  ropts.parallel.max_threads = 1;
+  auto rindex = FeatureIndex::Build(&db, ropts);
+  ASSERT_TRUE(rindex.ok()) << rindex.status();
+  ASSERT_TRUE(rindex->has_quantized_tier());
+  std::vector<std::vector<QueryHit>> ref(queries.size());
+  std::vector<double> ref_bounds(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    double bound = 0.0;
-    auto solo = index->CoarseNearestNeighbors(queries[q], 5, &bound);
-    ASSERT_TRUE(solo.ok());
-    ExpectHitsIdentical(*solo, (*batch)[q]);
-    EXPECT_EQ(bound, bounds[q]);
+    auto hits = rindex->CoarseNearestNeighbors(queries[q], 5, &ref_bounds[q]);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    ref[q] = std::move(*hits);
+  }
+  for (size_t threads : {1, 2, 8}) {
+    FeatureIndexOptions opts = ropts;
+    opts.parallel.max_threads = threads;
+    auto index = FeatureIndex::Build(&db, opts);
+    ASSERT_TRUE(index.ok()) << index.status();
+    std::vector<double> bounds;
+    auto hits = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    ASSERT_EQ(bounds.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectHitsIdentical(ref[q], (*hits)[q]);
+      EXPECT_EQ(ref_bounds[q], bounds[q]);
+    }
   }
 }
 

@@ -879,5 +879,96 @@ TEST(FeatureIndexTest, RebuildAfterInsert) {
   EXPECT_EQ(db.record((*hits)[0].record_index).name, "new");
 }
 
+// ApplyUpdate's contract: it absorbs exactly one UpdateFeature, in
+// order, on a built index whose record set has not changed since the
+// last Rebuild.
+TEST(FeatureIndexTest, ApplyUpdateContract) {
+  MotionDatabase db = MakeDb(100, 71);
+  FeatureIndex unbuilt;
+  EXPECT_EQ(unbuilt.ApplyUpdate(0).code(), StatusCode::kFailedPrecondition);
+  auto index = FeatureIndex::Build(&db);
+  ASSERT_TRUE(index.ok());
+  // Nothing to apply yet: the database epoch equals the built epoch.
+  EXPECT_EQ(index->ApplyUpdate(3).code(), StatusCode::kFailedPrecondition);
+  const std::vector<double> f = {9.0, 9.0, 9.0};
+  ASSERT_TRUE(db.UpdateFeature(3, f).ok());
+  // A stale index refuses queries until the update is applied.
+  EXPECT_FALSE(index->NearestNeighbors(f, 3).ok());
+  EXPECT_EQ(index->ApplyUpdate(1000).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(index->ApplyUpdate(3).ok());
+  EXPECT_EQ(index->built_epoch(), db.epoch());
+  EXPECT_TRUE(index->NearestNeighbors(f, 3).ok());
+  // Two mutations without an ApplyUpdate in between: the strict 1:1
+  // in-order contract fails and a Rebuild is required.
+  ASSERT_TRUE(db.UpdateFeature(4, f).ok());
+  ASSERT_TRUE(db.UpdateFeature(5, f).ok());
+  EXPECT_EQ(index->ApplyUpdate(4).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(index->Rebuild().ok());
+  EXPECT_TRUE(index->NearestNeighbors(f, 3).ok());
+  // Insert changes the record set: ApplyUpdate must refuse.
+  MotionRecord r;
+  r.name = "new";
+  r.label = 0;
+  r.label_name = "class0";
+  r.feature = f;
+  ASSERT_TRUE(db.Insert(std::move(r)).ok());
+  EXPECT_EQ(index->ApplyUpdate(0).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(index->Rebuild().ok());
+  auto linear = db.NearestNeighbors(f, 3);
+  auto hits = index->NearestNeighbors(f, 3);
+  ASSERT_TRUE(linear.ok());
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(linear->size(), hits->size());
+  for (size_t i = 0; i < hits->size(); ++i) {
+    EXPECT_EQ((*linear)[i].record_index, (*hits)[i].record_index);
+    EXPECT_EQ((*linear)[i].distance, (*hits)[i].distance);
+  }
+}
+
+// ApplyUpdate repacks the owning partition through the same packing
+// routine as Rebuild: after moving a record away its answers equal the
+// linear scan, and after moving it back the index serializes to the
+// bytes of the original build (epoch aside), for uncoded and coded
+// partitions alike.
+TEST(FeatureIndexTest, ApplyUpdateRepacksBitExactly) {
+  for (size_t min_rows : {size_t{256}, size_t{1}}) {
+    MotionDatabase db = MakeDb(200, 72);
+    FeatureIndexOptions opts;
+    opts.quantized_min_rows = min_rows;
+    auto index = FeatureIndex::Build(&db, opts);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(index->has_quantized_tier(), min_rows == 1);
+    auto before = SerializeFeatureIndex(*index);
+    ASSERT_TRUE(before.ok());
+    const std::vector<double> original = db.record(17).feature;
+    ASSERT_TRUE(db.UpdateFeature(17, {55.0, -3.0, 2.5}).ok());
+    ASSERT_TRUE(index->ApplyUpdate(17).ok());
+    Rng rng(73);
+    for (int i = 0; i < 12; ++i) {
+      const std::vector<double> q = {rng.Gaussian(30.0, 25.0),
+                                     rng.Gaussian(0.0, 3.0),
+                                     rng.Gaussian(0.0, 3.0)};
+      auto hits = index->NearestNeighbors(q, 5);
+      auto linear = db.NearestNeighbors(q, 5);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      ASSERT_TRUE(linear.ok());
+      ASSERT_EQ(hits->size(), linear->size());
+      for (size_t j = 0; j < hits->size(); ++j) {
+        EXPECT_EQ((*hits)[j].record_index, (*linear)[j].record_index);
+        EXPECT_EQ((*hits)[j].distance, (*linear)[j].distance);
+      }
+    }
+    ASSERT_TRUE(db.UpdateFeature(17, original).ok());
+    ASSERT_TRUE(index->ApplyUpdate(17).ok());
+    auto after = SerializeFeatureIndex(*index);
+    ASSERT_TRUE(after.ok());
+    // Payload bytes past the leading epoch field must match.
+    const size_t kSkip = 10 + 16 + 8;
+    ASSERT_EQ(before->size(), after->size());
+    EXPECT_EQ(before->substr(kSkip), after->substr(kSkip))
+        << "quantized_min_rows=" << min_rows;
+  }
+}
+
 }  // namespace
 }  // namespace mocemg

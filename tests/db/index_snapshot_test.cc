@@ -627,283 +627,145 @@ TEST(IndexSnapshotTest, ForgedMirrorCountRejected) {
       << loaded.status();
 }
 
-ShardedIndexOptions QuantizedShardedOptions(size_t shards) {
-  ShardedIndexOptions opts;
-  opts.index = QuantizedOptions();
-  opts.num_shards = shards;
+/// One partition's record list, exact rows and squared norms as a
+/// version-3 payload stores them.
+struct PartitionRows {
+  std::vector<uint64_t> records;
+  std::vector<std::string> rows;   ///< each row's dim doubles, raw bytes
+  std::vector<std::string> norms;  ///< each row's squared norm, raw bytes
+};
+
+/// Re-frames `snapshot` after `edit` rewrote its first partition's
+/// record list, rows and norms (counts follow the vectors). Only an
+/// index with one uncoded f64 partition is supported: its codes and
+/// fp32 mirror are empty, so the fields after the norms copy verbatim.
+/// The fresh checksum makes the forged file pass the frame checks, so
+/// only the payload's own validation can reject it.
+template <typename Edit>
+std::string ForgePartitionRows(const std::string& snapshot, size_t dim,
+                               const Edit& edit) {
+  const size_t kHeader = 10 + 16;
+  const char* p = snapshot.data() + kHeader;
+  const size_t size = snapshot.size() - kHeader;
+  size_t pos = 0;
+  auto u64 = [&]() {
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(static_cast<unsigned char>(p[pos + i]))
+           << (8 * i);
+    }
+    pos += 8;
+    return v;
+  };
+  auto put_u64 = [](std::string* out, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  pos = 8 * 11;  // epoch, dim, max_partition_size, eight options fields
+  pos += 8 * 2;  // references rows, cols
+  pos += 8 * u64();  // references data
+  EXPECT_EQ(u64(), 1u) << "forging needs a single partition";
+  pos += 8 * 7;  // six doubles + quant_bits
+  std::string out(p, pos);
+  PartitionRows part;
+  const uint64_t n = u64();
+  for (uint64_t i = 0; i < n; ++i) part.records.push_back(u64());
+  EXPECT_EQ(u64(), n * dim);
+  for (uint64_t i = 0; i < n; ++i) {
+    part.rows.emplace_back(p + pos, 8 * dim);
+    pos += 8 * dim;
+  }
+  EXPECT_EQ(u64(), n);
+  for (uint64_t i = 0; i < n; ++i) {
+    part.norms.emplace_back(p + pos, 8);
+    pos += 8;
+  }
+  edit(&part);
+  put_u64(&out, part.records.size());
+  for (uint64_t r : part.records) put_u64(&out, r);
+  put_u64(&out, part.rows.size() * dim);
+  for (const std::string& row : part.rows) out += row;
+  put_u64(&out, part.norms.size());
+  for (const std::string& norm : part.norms) out += norm;
+  out.append(p + pos, size - pos);
+  return TestFrame(snapshot.substr(0, 10), out.data(), out.size());
+}
+
+/// One uncoded f64 partition over 30 records, dimension 3.
+FeatureIndexOptions OnePartitionF64Options() {
+  FeatureIndexOptions opts;
+  opts.num_partitions = 1;
+  opts.quantized_scan = false;
+  opts.exact_precision = ExactPrecision::kF64;
   return opts;
 }
 
-void ExpectShardedAnswersEqual(const ShardedFeatureIndex& a,
-                               const ShardedFeatureIndex& b,
-                               size_t dim, uint64_t seed) {
-  for (const auto& q : MakeQueries(10, dim, seed)) {
-    auto ha = a.NearestNeighbors(q, 5);
-    auto hb = b.NearestNeighbors(q, 5);
-    ASSERT_TRUE(ha.ok());
-    ASSERT_TRUE(hb.ok());
-    ExpectHitsEqual(*ha, *hb);
-    double bound_a = 0.0, bound_b = 0.0;
-    auto ca = a.CoarseNearestNeighbors(q, 5, &bound_a);
-    auto cb = b.CoarseNearestNeighbors(q, 5, &bound_b);
-    ASSERT_TRUE(ca.ok());
-    ASSERT_TRUE(cb.ok());
-    ExpectHitsEqual(*ca, *cb);
-    EXPECT_EQ(bound_a, bound_b);
-  }
-}
-
-TEST(ShardedSnapshotTest, SaveRequiresBuiltIndex) {
-  ShardedFeatureIndex empty;
-  EXPECT_FALSE(
-      SaveShardedFeatureIndex(empty, ::testing::TempDir() + "/sh_nope")
-          .ok());
-}
-
-TEST(ShardedSnapshotTest, RoundTripBitIdentity) {
-  MotionDatabase db = MakeDb(150, 8, 42);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->has_quantized_tier());
-  const std::string path = ::testing::TempDir() + "/sh_roundtrip";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-
-  auto loaded = LoadShardedFeatureIndex(path, &db);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_shards(), index->num_shards());
-  EXPECT_EQ(loaded->num_partitions(), index->num_partitions());
-  EXPECT_EQ(loaded->applied_epoch(), index->applied_epoch());
-  EXPECT_EQ(loaded->shard_epochs(), index->shard_epochs());
-  ExpectShardedAnswersEqual(*index, *loaded, 8, 43);
-
-  std::remove(path.c_str());
-  for (size_t s = 0; s < 3; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
-// The sharded save/load cycle preserves the fp32 tier: the reloaded
-// shards carry their mirrors (the digest covers them), the precision
-// survives in the manifest, and answers stay bit-identical — with the
-// fp32 tier demonstrably engaged on both sides.
-TEST(ShardedSnapshotTest, F32RoundTripBitIdentity) {
-  MotionDatabase db = MakeDb(150, 8, 70);
-  ShardedIndexOptions opts;
-  opts.index = F32Options();
-  opts.num_shards = 3;
-  auto index = ShardedFeatureIndex::Build(&db, opts);
-  ASSERT_TRUE(index.ok()) << index.status();
-  const std::string path = ::testing::TempDir() + "/sh_f32";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-
-  auto loaded = LoadShardedFeatureIndex(path, &db);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->options().index.exact_precision, ExactPrecision::kF32);
-  IndexQueryStats orig_stats, load_stats;
-  for (const auto& q : MakeQueries(10, 8, 71)) {
-    auto a = index->NearestNeighbors(q, 5, &orig_stats);
-    auto b = loaded->NearestNeighbors(q, 5, &load_stats);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectHitsEqual(*a, *b);
-  }
-  EXPECT_GT(orig_stats.f32_scans, 0u) << "fp32 tier never engaged";
-  EXPECT_EQ(load_stats.f32_scans, orig_stats.f32_scans);
-  EXPECT_EQ(load_stats.f32_refined, orig_stats.f32_refined);
-
-  std::remove(path.c_str());
-  for (size_t s = 0; s < 3; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
-// Payload truncations of the manifest — re-framed so the header is
-// consistent and the parse reaches the field readers — are always
-// rejected; the strict loader never assembles an index from them.
-TEST(ShardedSnapshotTest, ManifestTruncationSweepRejected) {
-  MotionDatabase db = MakeDb(60, 4, 72);
-  ShardedIndexOptions opts;
-  opts.index = F32Options();
-  opts.index.num_partitions = 2;
-  opts.num_shards = 2;
-  auto index = ShardedFeatureIndex::Build(&db, opts);
-  ASSERT_TRUE(index.ok()) << index.status();
-  const std::string path = ::testing::TempDir() + "/sh_trunc_sweep";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-  auto manifest = ReadFileToString(path);
-  ASSERT_TRUE(manifest.ok());
-  const size_t kHeader = 10 + 16;
-  const char* payload = manifest->data() + kHeader;
-  const size_t payload_size = manifest->size() - kHeader;
-  // Stride 8 keeps the file-per-cut I/O bounded while still landing on
-  // every u64 field boundary; the tail is swept byte-by-byte to hit
-  // the digest block's interior.
-  for (size_t cut = 0; cut < payload_size;
-       cut += (payload_size - cut <= 40 ? 1 : 8)) {
-    const std::string forged =
-        TestFrame(manifest->substr(0, 10), payload, cut);
-    ASSERT_TRUE(WriteStringToFile(path, forged).ok());
-    EXPECT_FALSE(LoadShardedFeatureIndex(path, &db).ok())
-        << "manifest cut at payload byte " << cut << " accepted";
-  }
-  std::remove(path.c_str());
-  for (size_t s = 0; s < 2; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
-// One corrupted shard file repacks only that shard — the manifest
-// carries the layout, so k-means is not re-run and the other shards
-// load untouched.
-TEST(ShardedSnapshotTest, SingleShardCorruptionRepacksOnlyThatShard) {
-  MotionDatabase db = MakeDb(140, 7, 44);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
-  ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/sh_oneshard";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-
-  ServingFaultInjector injector(ServingFaultOptions{});
-  ASSERT_TRUE(injector.CorruptSnapshotBitFlip(path + ".shard1").ok());
-
-  // Strict load refuses the damaged generation outright.
-  EXPECT_FALSE(LoadShardedFeatureIndex(path, &db).ok());
-
-  ShardedSnapshotLoadInfo info;
-  auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(3), &info);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_FALSE(info.loaded_from_snapshot);
-  EXPECT_FALSE(info.rebuilt) << "a shard repack is not a full rebuild";
-  ASSERT_EQ(info.rebuilt_shards.size(), 1u);
-  EXPECT_EQ(info.rebuilt_shards[0], 1u);
-  EXPECT_FALSE(info.fallback_reason.empty());
-  ExpectShardedAnswersEqual(*index, *recovered, 7, 45);
-
-  std::remove(path.c_str());
-  for (size_t s = 0; s < 3; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
-TEST(ShardedSnapshotTest, MissingShardFileRepacked) {
-  MotionDatabase db = MakeDb(100, 6, 46);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
-  ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/sh_missing";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-  ASSERT_EQ(std::remove((path + ".shard0").c_str()), 0);
-
-  ShardedSnapshotLoadInfo info;
-  auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(2), &info);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_FALSE(info.rebuilt);
-  ASSERT_EQ(info.rebuilt_shards.size(), 1u);
-  EXPECT_EQ(info.rebuilt_shards[0], 0u);
-  ExpectShardedAnswersEqual(*index, *recovered, 6, 47);
-
-  std::remove(path.c_str());
-  std::remove((path + ".shard1").c_str());
-}
-
-// An unusable manifest can't vouch for any shard file: the whole
-// index rebuilds from the database.
-TEST(ShardedSnapshotTest, ManifestCorruptionTriggersFullRebuild) {
-  MotionDatabase db = MakeDb(110, 6, 48);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
-  ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/sh_manifest";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-
-  ServingFaultInjector injector(ServingFaultOptions{});
-  ASSERT_TRUE(injector.CorruptSnapshotTruncate(path).ok());
-
-  ShardedSnapshotLoadInfo info;
-  auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(3), &info);
+/// The forged snapshot must fail DeserializeFeatureIndex with
+/// ParseError naming `expect`, and LoadOrRebuildFeatureIndex must
+/// rebuild and then answer record 1's own feature with (1, 0), as the
+/// linear scan does.
+void ExpectForgedRecordListRebuilt(const std::string& forged,
+                                   const MotionDatabase& db,
+                                   const std::string& expect,
+                                   const std::string& file) {
+  auto loaded = DeserializeFeatureIndex(forged, &db);
+  ASSERT_FALSE(loaded.ok()) << "forged record list accepted";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find(expect), std::string::npos)
+      << loaded.status();
+  const std::string path = ::testing::TempDir() + "/" + file;
+  ASSERT_TRUE(WriteStringToFile(path, forged).ok());
+  IndexSnapshotLoadInfo info;
+  auto recovered = LoadOrRebuildFeatureIndex(
+      path, &db, OnePartitionF64Options(), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(info.loaded_from_snapshot);
   EXPECT_TRUE(info.rebuilt);
-  EXPECT_TRUE(info.rebuilt_shards.empty());
-  EXPECT_FALSE(info.fallback_reason.empty());
-  ExpectShardedAnswersEqual(*index, *recovered, 6, 49);
-
+  auto hits = recovered->NearestNeighbors(db.record(1).feature, 1);
+  ASSERT_TRUE(hits.ok()) << hits.status();
+  auto linear = db.NearestNeighbors(db.record(1).feature, 1);
+  ASSERT_TRUE(linear.ok());
+  ExpectHitsEqual(*linear, *hits);
+  EXPECT_EQ((*hits)[0].record_index, 1u);
+  EXPECT_EQ((*hits)[0].distance, 0.0);
   std::remove(path.c_str());
-  for (size_t s = 0; s < 3; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
 }
 
-// A manifest from an older database epoch must not serve silently.
-TEST(ShardedSnapshotTest, StaleEpochTriggersFullRebuild) {
-  MotionDatabase db = MakeDb(90, 5, 50);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+// A checksummed payload whose partition lists record 0 twice (in place
+// of record 1, whose row stays in the block) would answer record 1's
+// own feature with record 0. The reader must reject it.
+TEST(IndexSnapshotTest, ForgedDuplicateRecordRejected) {
+  MotionDatabase db = MakeDb(30, 3, 69);
+  auto index = FeatureIndex::Build(&db, OnePartitionF64Options());
   ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/sh_stale";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-  ASSERT_TRUE(db.UpdateFeature(0, db.record(1).feature).ok());
-
-  ShardedSnapshotLoadInfo info;
-  auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(2), &info);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_TRUE(info.rebuilt);
-  EXPECT_NE(info.fallback_reason.find("epoch"), std::string::npos)
-      << info.fallback_reason;
-  EXPECT_EQ(recovered->applied_epoch(), db.epoch());
-  for (const auto& q : MakeQueries(6, 5, 51)) {
-    auto a = recovered->NearestNeighbors(q, 3);
-    auto b = db.NearestNeighbors(q, 3);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectHitsEqual(*a, *b);
-  }
-
-  std::remove(path.c_str());
-  for (size_t s = 0; s < 2; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
+  auto bytes = SerializeFeatureIndex(*index);
+  ASSERT_TRUE(bytes.ok());
+  const std::string forged =
+      ForgePartitionRows(*bytes, 3, [](PartitionRows* part) {
+        part->records[1] = part->records[0];
+      });
+  ExpectForgedRecordListRebuilt(forged, db, "more than once",
+                                "idx_forged_dup.bin");
 }
 
-// A shard file swapped in from a different save generation carries a
-// valid checksum of its own, but the manifest's digest disowns it.
-TEST(ShardedSnapshotTest, CrossGenerationShardFileRejected) {
-  MotionDatabase db = MakeDb(120, 6, 52);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+// A checksummed payload whose partitions leave a record out (its row,
+// norm and list entry dropped, counts consistent) must be rejected
+// too: the index would never return that record.
+TEST(IndexSnapshotTest, ForgedMissingRecordRejected) {
+  MotionDatabase db = MakeDb(30, 3, 70);
+  auto index = FeatureIndex::Build(&db, OnePartitionF64Options());
   ASSERT_TRUE(index.ok());
-  const std::string path_a = ::testing::TempDir() + "/sh_gen_a";
-  const std::string path_b = ::testing::TempDir() + "/sh_gen_b";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path_a).ok());
-  // A second generation over a mutated database: same shapes, but the
-  // mutated record's owning shard packs to new bytes.
-  ASSERT_TRUE(db.UpdateFeature(3, db.record(4).feature).ok());
-  ASSERT_TRUE(index->ApplyUpdate(3).ok());
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path_b).ok());
-  auto owner = index->ShardOfRecord(3);
-  ASSERT_TRUE(owner.ok());
-  const std::string spliced =
-      ".shard" + std::to_string(*owner);
-  // Splice generation A's copy of that shard under B's manifest.
-  auto old_shard = ReadFileToString(path_a + spliced);
-  ASSERT_TRUE(old_shard.ok());
-  ASSERT_TRUE(WriteStringToFile(path_b + spliced, *old_shard).ok());
-
-  EXPECT_FALSE(LoadShardedFeatureIndex(path_b, &db).ok());
-  ShardedSnapshotLoadInfo info;
-  auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path_b, &db, QuantizedShardedOptions(2), &info);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_FALSE(info.rebuilt);
-  ASSERT_EQ(info.rebuilt_shards.size(), 1u);
-  EXPECT_EQ(info.rebuilt_shards[0], *owner);
-  ExpectShardedAnswersEqual(*index, *recovered, 6, 53);
-
-  for (const std::string& p : {path_a, path_b}) {
-    std::remove(p.c_str());
-    for (size_t s = 0; s < 2; ++s) {
-      std::remove((p + ".shard" + std::to_string(s)).c_str());
-    }
-  }
+  auto bytes = SerializeFeatureIndex(*index);
+  ASSERT_TRUE(bytes.ok());
+  const std::string forged =
+      ForgePartitionRows(*bytes, 3, [](PartitionRows* part) {
+        part->records.pop_back();
+        part->rows.pop_back();
+        part->norms.pop_back();
+      });
+  ExpectForgedRecordListRebuilt(forged, db, "out of every partition",
+                                "idx_forged_gap.bin");
 }
 
 }  // namespace

@@ -29,12 +29,13 @@ ctest --preset "$preset" "$@"
 # reference and then explicitly to the dispatched best, so both sides
 # of the bit-exactness contract get sanitizer coverage — the scalar
 # fallback path is otherwise dead code on machines with AVX2/AVX-512.
-# QueryBlock is the batch-query suite (tests/db/batch_query_test.cc):
+# BatchQuery is the batch-query suite (tests/db/batch_query_test.cc):
 # together with the fp32 loop below, the batch entry points get
 # sanitizer coverage under MOCEMG_KERNEL={scalar,auto} x
-# MOCEMG_EXACT_PRECISION={f64,f32}.
-# QueryServer is the served index path (its index and sharded
-# bit-identity tests scan through the tiled f64 kernel, §19).
+# MOCEMG_EXACT_PRECISION={f64,f32}. FeatureIndex also matches the
+# mutation oracle (FeatureIndexOracleTest).
+# QueryServer is the served index path (its bit-identity tests scan
+# through the tiled f64 kernel, §19).
 # Acquisition|Biquad|Resample|Butterworth are the EMG conditioning
 # suites (§17): they drive the biquad lane kernel one lane at a time
 # and with every channel in lockstep, on both backends.
@@ -45,7 +46,7 @@ for kern in scalar auto; do
   echo "== $preset: kernel/index/conditioning/FCM suites under" \
     "MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer|Acquisition|Biquad|Resample|Butterworth|Fcm|EvaluateMembership|Reproduction' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Snapshot|BatchQuery|QueryServer|Acquisition|Biquad|Resample|Butterworth|Fcm|EvaluateMembership|Reproduction' \
     --output-on-failure
 done
 
@@ -62,7 +63,7 @@ for kern in scalar auto; do
     "MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL=$kern =="
   MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL="$kern" \
     ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|QueryServer' \
+    -R 'Kernel|Quant|Distance|FeatureIndex|Snapshot|BatchQuery|QueryServer' \
     --output-on-failure
 done
 
@@ -73,10 +74,10 @@ if [[ "$preset" == "tsan" ]]; then
   # execution. The determinism tests double as the data-race proof for
   # every parallelized stage (featurization, FCM, batch kNN/classify),
   # the fault-injected serving tests exercise concurrent clients
-  # against stalls, injected failures, and deadline sheds, and the
-  # sharded tests cover scatter-gather fan-out plus index swaps under
-  # racing submitters.
+  # against stalls, injected failures, and deadline sheds, and
+  # ParallelSwapIndexConcurrentSubmitsNeverTorn covers index swaps
+  # under racing submitters.
   echo "== tsan: parallel substrate again under MOCEMG_THREADS=8 =="
-  MOCEMG_THREADS=8 ctest --preset tsan -R 'Parallel|ServingFault|Sharded' \
+  MOCEMG_THREADS=8 ctest --preset tsan -R 'Parallel|ServingFault' \
     --output-on-failure
 fi
