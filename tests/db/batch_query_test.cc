@@ -234,9 +234,9 @@ TEST(BatchQueryTest, ExactBatchBitIdenticalAcrossThreads) {
   }
 }
 
-// The batch coarse scan (the query server's degraded drain): batch
-// answers AND certified error bounds equal CoarseNearestNeighbors per
-// query at thread counts 1/2/8.
+// The batch coarse scan: batch answers AND certified error bounds at
+// thread counts 1/2/8 equal CoarseNearestNeighbors per query on a
+// single-threaded build.
 TEST(BatchQueryTest, CoarseBatchMatchesPerQueryWithBounds) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 91);
@@ -267,6 +267,29 @@ TEST(BatchQueryTest, CoarseBatchMatchesPerQueryWithBounds) {
       ExpectHitsIdentical(ref[q], (*hits)[q]);
       EXPECT_EQ(ref_bounds[q], bounds[q]);
     }
+  }
+}
+
+// The coarse batch entry point (used by the query server's degraded
+// drain) against its per-query counterpart on the same index.
+TEST(BatchQueryTest, SingleIndexCoarseBatchMatchesPerQuery) {
+  const size_t kDim = 8;
+  MotionDatabase db = MakeDb(250, kDim, 101);
+  const auto queries = MakeQueries(11, kDim, 102);
+  FeatureIndexOptions opts;
+  opts.quantized_min_rows = 1;
+  auto index = FeatureIndex::Build(&db, opts);
+  ASSERT_TRUE(index.ok()) << index.status();
+  std::vector<double> bounds;
+  auto batch = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(bounds.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    double bound = 0.0;
+    auto solo = index->CoarseNearestNeighbors(queries[q], 5, &bound);
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    ExpectHitsIdentical(*solo, (*batch)[q]);
+    EXPECT_EQ(bound, bounds[q]);
   }
 }
 
